@@ -2,7 +2,6 @@ type t = {
   net : unit Sim.Network.t;
   n : int;
   locals : int array;
-  mutable traces_rev : Sim.Trace.t list;
   mutable ops : int;
 }
 
@@ -17,7 +16,6 @@ let create ?(seed = 42) ?delay ?faults ~n () =
     net = Sim.Network.create ~seed ?delay ?faults ~n ();
     n;
     locals = Array.make (n + 1) 0;
-    traces_rev = [];
     ops = 0;
   }
 
@@ -27,14 +25,15 @@ let value t = t.ops
 
 let metrics t = Sim.Network.metrics t.net
 
-let traces t = List.rev t.traces_rev
+let traces t = Sim.Network.traces t.net
+let observe t f = Sim.Network.observe t.net f
 
 let inc t ~origin =
   Sim.Network.begin_op t.net ~origin;
   let v = t.locals.(origin) in
   t.locals.(origin) <- v + 1;
   t.ops <- t.ops + 1;
-  t.traces_rev <- Sim.Network.end_op t.net :: t.traces_rev;
+  ignore (Sim.Network.end_op t.net);
   v
 
 let inc_result t ~origin =
@@ -47,6 +46,5 @@ let clone t =
     net = Sim.Network.clone_quiescent t.net;
     n = t.n;
     locals = Array.copy t.locals;
-    traces_rev = t.traces_rev;
     ops = t.ops;
   }

@@ -14,7 +14,6 @@ type t = {
   mutable value : int;
   mutable last_returned : int;
   mutable open_rev : (int * int * float) list;  (* op, value, completed_at *)
-  mutable traces_rev : Sim.Trace.t list;
 }
 
 let name = "central"
@@ -40,7 +39,7 @@ let create ?(seed = 42) ?delay ?faults ~n () =
   if n < 1 then invalid_arg "Central.create: n must be >= 1";
   let net = Sim.Network.create ~seed ?delay ?faults ~label ~n () in
   let st =
-    { net; n; value = 0; last_returned = -1; open_rev = []; traces_rev = [] }
+    { net; n; value = 0; last_returned = -1; open_rev = [] }
   in
   Sim.Network.set_handler net (fun ~self ~src payload ->
       handle st ~self ~src payload);
@@ -52,7 +51,8 @@ let value t = t.value
 
 let metrics t = Sim.Network.metrics t.net
 
-let traces t = List.rev t.traces_rev
+let traces t = Sim.Network.traces t.net
+let observe t f = Sim.Network.observe t.net f
 
 let inc t ~origin =
   if origin < 1 || origin > t.n then
@@ -72,8 +72,7 @@ let inc t ~origin =
       t.last_returned
     end
   in
-  let trace = Sim.Network.end_op t.net in
-  t.traces_rev <- trace :: t.traces_rev;
+  ignore (Sim.Network.end_op t.net);
   if result < 0 then
     raise
       (Counter.Counter_intf.Stall
@@ -112,7 +111,6 @@ let clone t =
       value = t.value;
       last_returned = t.last_returned;
       open_rev = t.open_rev;
-      traces_rev = t.traces_rev;
     }
   in
   Sim.Network.set_handler net (fun ~self ~src payload ->

@@ -34,7 +34,6 @@ type t = {
   mutable value : int;
   mutable completed_rev : (int * int * int * float) list;
       (* origin, op, value, time *)
-  mutable traces_rev : Sim.Trace.t list;
   mutable combined : int;
   mutable uncombined : int;
 }
@@ -164,7 +163,6 @@ let create_binary ?(seed = 42) ?delay ?faults ?(window = 1.5) ~n () =
             });
       value = 0;
       completed_rev = [];
-      traces_rev = [];
       combined = 0;
       uncombined = 0;
     }
@@ -181,7 +179,8 @@ let value t = t.value
 
 let metrics t = Sim.Network.metrics t.net
 
-let traces t = List.rev t.traces_rev
+let traces t = Sim.Network.traces t.net
+let observe t f = Sim.Network.observe t.net f
 
 let combined_requests t = t.combined
 
@@ -210,8 +209,7 @@ let launch t ~origin = launch_op t ~op:(-1) ~origin
 
 let finish_op t =
   ignore (Sim.Network.run_to_quiescence t.net);
-  let trace = Sim.Network.end_op t.net in
-  t.traces_rev <- trace :: t.traces_rev
+  ignore (Sim.Network.end_op t.net)
 
 let inc t ~origin =
   if origin < 1 || origin > t.n then
@@ -280,7 +278,6 @@ let clone t =
           t.nodes;
       value = t.value;
       completed_rev = t.completed_rev;
-      traces_rev = t.traces_rev;
       combined = t.combined;
       uncombined = t.uncombined;
     }

@@ -16,7 +16,6 @@ type t = {
   counts : int array;  (* per output wire *)
   mutable completed_rev : (int * int * int * float) list;
       (* origin, op, value, time *)
-  mutable traces_rev : Sim.Trace.t list;
   mutable ops : int;
   mutable step_ok : bool;
 }
@@ -82,7 +81,6 @@ let create_custom ?(seed = 42) ?delay ?faults ~n ~network:bitonic () =
       toggles = Array.make (Array.length bitonic.Bitonic.balancers) true;
       counts = Array.make bitonic.Bitonic.width 0;
       completed_rev = [];
-      traces_rev = [];
       ops = 0;
       step_ok = true;
     }
@@ -111,7 +109,8 @@ let value t = t.ops
 
 let metrics t = Sim.Network.metrics t.net
 
-let traces t = List.rev t.traces_rev
+let traces t = Sim.Network.traces t.net
+let observe t f = Sim.Network.observe t.net f
 
 let launch_op t ~op ~origin =
   if origin < 1 || origin > t.n then
@@ -125,8 +124,7 @@ let launch t ~origin = launch_op t ~op:(-1) ~origin
 
 let finish_op t =
   ignore (Sim.Network.run_to_quiescence t.net);
-  let trace = Sim.Network.end_op t.net in
-  t.traces_rev <- trace :: t.traces_rev;
+  ignore (Sim.Network.end_op t.net);
   if not (Bitonic.step_property t.counts) then t.step_ok <- false
 
 let inc t ~origin =
@@ -227,7 +225,6 @@ let clone t =
       toggles = Array.copy t.toggles;
       counts = Array.copy t.counts;
       completed_rev = t.completed_rev;
-      traces_rev = t.traces_rev;
       ops = t.ops;
       step_ok = t.step_ok;
     }

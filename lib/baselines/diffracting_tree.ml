@@ -29,7 +29,6 @@ type t = {
   counts : int array;  (* per leaf wire *)
   mutable completed_rev : (int * int * int * float) list;
       (* origin, op, value, time *)
-  mutable traces_rev : Sim.Trace.t list;
   mutable ops : int;
   mutable toggle_hits : int;
   mutable diffractions : int;
@@ -136,7 +135,6 @@ let create_width ?(seed = 42) ?delay ?faults ?(prism_window = 1.5) ~n ~width () 
       nodes;
       counts = Array.make width 0;
       completed_rev = [];
-      traces_rev = [];
       ops = 0;
       toggle_hits = 0;
       diffractions = 0;
@@ -174,7 +172,8 @@ let step_property_held t = t.step_ok
 
 let metrics t = Sim.Network.metrics t.net
 
-let traces t = List.rev t.traces_rev
+let traces t = Sim.Network.traces t.net
+let observe t f = Sim.Network.observe t.net f
 
 let launch_op t ~op ~origin =
   if t.width = 1 then
@@ -189,8 +188,7 @@ let launch t ~origin = launch_op t ~op:(-1) ~origin
 
 let finish_op t =
   ignore (Sim.Network.run_to_quiescence t.net);
-  let trace = Sim.Network.end_op t.net in
-  t.traces_rev <- trace :: t.traces_rev;
+  ignore (Sim.Network.end_op t.net);
   if not (Bitonic.step_property t.counts) then t.step_ok <- false
 
 let inc t ~origin =
@@ -296,7 +294,6 @@ let clone t =
           t.nodes;
       counts = Array.copy t.counts;
       completed_rev = t.completed_rev;
-      traces_rev = t.traces_rev;
       ops = t.ops;
       toggle_hits = t.toggle_hits;
       diffractions = t.diffractions;

@@ -40,6 +40,7 @@ let value = D.value
 let metrics = D.metrics
 
 let traces = D.traces
+let observe = D.observe
 
 let inc = D.inc
 

@@ -36,6 +36,7 @@ let value = Ft.value
 let metrics = Ft.metrics
 
 let traces = Ft.traces
+let observe = Ft.observe
 
 let inc = Ft.inc
 

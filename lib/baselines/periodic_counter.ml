@@ -37,5 +37,6 @@ let value = Counting_network.value
 let metrics = Counting_network.metrics
 
 let traces = Counting_network.traces
+let observe = Counting_network.observe
 
 let clone = Counting_network.clone

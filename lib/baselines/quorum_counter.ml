@@ -80,7 +80,6 @@ module Make (Q : Quorum.Quorum_intf.S) = struct
     mutable stall : string option;
     mutable retries : int;  (* observer tallies *)
     mutable fallbacks : int;
-    mutable traces_rev : Sim.Trace.t list;
     mutable conc_rounds : (int, cop) Hashtbl.t option;
         (* Open-loop client: one record per in-flight operation, keyed by
            the round stamp of its current phase. Allocated by the first
@@ -543,7 +542,6 @@ module Make (Q : Quorum.Quorum_intf.S) = struct
         stall = None;
         retries = 0;
         fallbacks = 0;
-        traces_rev = [];
         conc_rounds = None;
         conc_completed_rev = [];
       }
@@ -558,7 +556,8 @@ module Make (Q : Quorum.Quorum_intf.S) = struct
 
   let metrics t = Sim.Network.metrics t.net
 
-  let traces t = List.rev t.traces_rev
+  let traces t = Sim.Network.traces t.net
+  let observe t f = Sim.Network.observe t.net f
 
   let crashed t p = Sim.Network.crashed t.net p
 
@@ -582,8 +581,7 @@ module Make (Q : Quorum.Quorum_intf.S) = struct
         t.fallbacks <- t.fallbacks + 1;
         start_read t ~origin ~fallback:true (everyone t));
     ignore (Sim.Network.run_to_quiescence t.net);
-    let trace = Sim.Network.end_op t.net in
-    t.traces_rev <- trace :: t.traces_rev;
+    ignore (Sim.Network.end_op t.net);
     if t.last_returned < 0 then begin
       let reason =
         match t.stall with
@@ -635,7 +633,6 @@ module Make (Q : Quorum.Quorum_intf.S) = struct
         stall = t.stall;
         retries = t.retries;
         fallbacks = t.fallbacks;
-        traces_rev = t.traces_rev;
         conc_rounds = Option.map Hashtbl.copy t.conc_rounds;
         conc_completed_rev = t.conc_completed_rev;
       }

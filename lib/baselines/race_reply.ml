@@ -13,7 +13,6 @@ type t = {
   n : int;
   mutable value : int;
   mutable last_returned : int;
-  mutable traces_rev : Sim.Trace.t list;
 }
 
 let name = "race-reply"
@@ -54,7 +53,7 @@ let handle st ~self ~src:_ = function
 let create ?(seed = 42) ?delay ?faults ~n () =
   if n < 3 then invalid_arg "Race_reply.create: n must be >= 3";
   let net = Sim.Network.create ~seed ?delay ?faults ~label ~n () in
-  let st = { net; n; value = 0; last_returned = -1; traces_rev = [] } in
+  let st = { net; n; value = 0; last_returned = -1 } in
   Sim.Network.set_handler net (fun ~self ~src payload ->
       handle st ~self ~src payload);
   st
@@ -65,7 +64,8 @@ let value t = t.value
 
 let metrics t = Sim.Network.metrics t.net
 
-let traces t = List.rev t.traces_rev
+let traces t = Sim.Network.traces t.net
+let observe t f = Sim.Network.observe t.net f
 
 let inc t ~origin =
   if origin < 1 || origin > t.n then
@@ -84,8 +84,7 @@ let inc t ~origin =
       t.last_returned
     end
   in
-  let trace = Sim.Network.end_op t.net in
-  t.traces_rev <- trace :: t.traces_rev;
+  ignore (Sim.Network.end_op t.net);
   if result < 0 then
     raise
       (Counter.Counter_intf.Stall
@@ -105,7 +104,6 @@ let clone t =
       n = t.n;
       value = t.value;
       last_returned = t.last_returned;
-      traces_rev = t.traces_rev;
     }
   in
   Sim.Network.set_handler net (fun ~self ~src payload ->

@@ -34,5 +34,6 @@ let value = Core.Retire_counter.value
 let metrics = Core.Retire_counter.metrics
 
 let traces = Core.Retire_counter.traces
+let observe = Core.Retire_counter.observe
 
 let clone = Core.Retire_counter.clone

@@ -29,6 +29,7 @@ let value = Sc.value
 let metrics = Sc.metrics
 
 let traces = Sc.traces
+let observe = Sc.observe
 
 let inc = Sc.inc
 

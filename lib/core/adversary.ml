@@ -26,18 +26,26 @@ type result = {
   hotspot_ok : bool;
 }
 
-let last_trace traces =
-  match List.rev traces with [] -> None | t :: _ -> Some t
+(* One inc from [p], returning its trace. The trace comes through
+   [observe] instead of the retained log, so no history is reversed per
+   candidate; the observer stays installed, and [counter] retains none of
+   its later operations. *)
+let inc_traced (type a) (module C : Counter.Counter_intf.S with type t = a)
+    (counter : a) p =
+  let last = ref None in
+  C.observe counter (fun t -> last := Some t);
+  ignore (C.inc counter ~origin:p);
+  !last
+
+let list_length = function
+  | None -> 0
+  | Some t -> Sim.Comm_list.length (Sim.Comm_list.of_trace t)
 
 (* Trial-run an inc from [p] on a clone and return its communication-list
    length. *)
 let trial (type a) (module C : Counter.Counter_intf.S with type t = a)
     (counter : a) p =
-  let clone = C.clone counter in
-  ignore (C.inc clone ~origin:p);
-  match last_trace (C.traces clone) with
-  | None -> 0
-  | Some t -> Sim.Comm_list.length (Sim.Comm_list.of_trace t)
+  list_length (inc_traced (module C) (C.clone counter) p)
 
 let choose_candidates rng ~sample remaining =
   let all = Array.of_list remaining in
@@ -65,11 +73,8 @@ let greedy_order (type a) (module C : Counter.Counter_intf.S with type t = a)
           best_len := len
         end)
       candidates;
-    ignore (C.inc counter ~origin:!best);
     let committed_len =
-      match last_trace (C.traces counter) with
-      | None -> 0
-      | Some t -> Sim.Comm_list.length (Sim.Comm_list.of_trace t)
+      list_length (inc_traced (module C) counter !best)
     in
     order.(i) <- !best;
     remaining := List.filter (fun p -> p <> !best) !remaining;
@@ -92,13 +97,13 @@ let replay_with_weights (type a)
   let n = Array.length order in
   let q = order.(n - 1) in
   let observations = ref [] and q_lengths = ref [] and values = ref [] in
+  let hotspot = Counter.Hotspot.create () in
+  C.observe counter (Counter.Hotspot.feed hotspot);
   Array.iteri
     (fun i p ->
       (* Measure q's hypothetical process and list before op i+1. *)
-      let clone = C.clone counter in
-      ignore (C.inc clone ~origin:q);
       let q_list =
-        match last_trace (C.traces clone) with
+        match inc_traced (module C) (C.clone counter) q with
         | None -> Sim.Comm_list.of_trace (Sim.Trace.create ~op_index:0 ~origin:q ())
         | Some t -> Sim.Comm_list.of_trace t
       in
@@ -109,12 +114,11 @@ let replay_with_weights (type a)
       q_lengths := Sim.Comm_list.length q_list :: !q_lengths;
       values := C.inc counter ~origin:p :: !values)
     order;
-  let traces = C.traces counter in
   let metrics = C.metrics counter in
   ( List.rev !observations,
     List.rev !q_lengths,
     List.rev !values,
-    traces,
+    Counter.Hotspot.violations hotspot,
     metrics,
     Sim.Metrics.load metrics q )
 
@@ -131,7 +135,7 @@ let run ?(seed = 42) ?(sample = 16) ?base (module C : Counter.Counter_intf.S)
     match base with Some b -> b | None -> float_of_int (bottleneck_pass1 + 2)
   in
   let fresh () = C.create ~seed ~n () in
-  let observations, q_lengths, values, traces, metrics, q_load =
+  let observations, q_lengths, values, hotspot_violations, metrics, q_load =
     replay_with_weights (module C) ~fresh ~order ~base
   in
   let steps =
@@ -172,7 +176,7 @@ let run ?(seed = 42) ?(sample = 16) ?base (module C : Counter.Counter_intf.S)
     li_never_exceeds_big_li = li_ok;
     weights_monotone = Weights.trajectory_monotone observations;
     correct;
-    hotspot_ok = Counter.Hotspot.holds traces;
+    hotspot_ok = hotspot_violations = [];
   }
 
 let pp_result ppf r =

@@ -86,7 +86,6 @@ type t = {
   mutable stall_reason : string option;
   (* --- bookkeeping --- *)
   mutable replays : int;  (* completed WAL recoveries *)
-  mutable traces_rev : Sim.Trace.t list;
 }
 
 let name = "durable"
@@ -590,7 +589,6 @@ let create_raw ?seed ?delay ?faults ?(cas = true)
       op_timeout = initial_timeout;
       stall_reason = None;
       replays = 0;
-      traces_rev = [];
     }
   in
   (* Store RPCs are retried; FIFO delivery into the store would shield
@@ -614,7 +612,8 @@ let value t =
 
 let metrics t = Sim.Network.metrics t.net
 
-let traces t = List.rev t.traces_rev
+let traces t = Sim.Network.traces t.net
+let observe t f = Sim.Network.observe t.net f
 
 let replays t = t.replays
 
@@ -649,8 +648,7 @@ let inc t ~origin =
       end
       else origin_attempt t ~origin ~oseq);
   ignore (Sim.Network.run_to_quiescence t.net);
-  let trace = Sim.Network.end_op t.net in
-  t.traces_rev <- trace :: t.traces_rev;
+  ignore (Sim.Network.end_op t.net);
   t.op_round <- t.op_round + 1;
   (match Wal.Monitor.violation t.monitor with
   | Some v -> stall ("spec: " ^ v)
@@ -681,7 +679,6 @@ let clone t =
       store;
       monitor;
       oseqs = Array.copy t.oseqs;
-      traces_rev = t.traces_rev;
     }
   in
   Sim.Network.set_handler net (fun ~self ~src payload ->

@@ -47,6 +47,7 @@ let tree = P.tree
 let value = P.value
 let metrics = P.metrics
 let traces = P.traces
+let observe = P.observe
 let node_worker = P.node_worker
 let node_age = P.node_age
 let retirements_of_node = P.retirements_of_node

@@ -294,6 +294,7 @@ let tree = P.tree
 let value = P.value
 let metrics = P.metrics
 let traces = P.traces
+let observe = P.observe
 let node_worker = P.node_worker
 let node_age = P.node_age
 let retirements_of_node = P.retirements_of_node
@@ -327,8 +328,7 @@ let inc t ~origin =
        t.P.stall_reason <- Some "origin processor is crashed"
      else start_attempt t);
     ignore (Sim.Network.run_to_quiescence t.P.net);
-    let trace = Sim.Network.end_op t.P.net in
-    t.P.traces_rev <- trace :: t.P.traces_rev;
+    ignore (Sim.Network.end_op t.P.net);
     ignore (next_round t);
     match
       List.find_opt (fun (o, _, _) -> o = origin) (List.rev t.P.completed_rev)

@@ -58,7 +58,6 @@ type t = {
       (* the one non-local helper: allocates replacement ids beyond a
          node's reserved interval (a deployment would pre-partition a
          spare pool) *)
-  mutable traces_rev : Sim.Trace.t list;
   (* Observer-only tallies (never read by the protocol): *)
   retire_tally : (int, int) Hashtbl.t;
   mutable total_retirements : int;
@@ -296,7 +295,6 @@ let create_with ?(seed = 42) ?delay ?faults (cfg : Retire_counter.config) =
       procs;
       completed_rev = [];
       overflow_next = n + 1;
-      traces_rev = [];
       retire_tally = Hashtbl.create 64;
       total_retirements = 0;
       stale_forwards = 0;
@@ -346,7 +344,8 @@ let value t = t.value_issued
 
 let metrics t = Sim.Network.metrics t.net
 
-let traces t = List.rev t.traces_rev
+let traces t = Sim.Network.traces t.net
+let observe t f = Sim.Network.observe t.net f
 
 let total_retirements t = t.total_retirements
 
@@ -369,8 +368,7 @@ let inc t ~origin =
   Sim.Network.send t.net ~src:origin ~dst:origin_proc.leaf_parent_worker
     (Inc { origin; node = parent });
   ignore (Sim.Network.run_to_quiescence t.net);
-  let trace = Sim.Network.end_op t.net in
-  t.traces_rev <- trace :: t.traces_rev;
+  ignore (Sim.Network.end_op t.net);
   match List.find_opt (fun (o, _) -> o = origin) (List.rev t.completed_rev) with
   | Some (_, value) -> value
   | None ->
@@ -413,7 +411,6 @@ let clone t =
       procs;
       completed_rev = t.completed_rev;
       overflow_next = t.overflow_next;
-      traces_rev = t.traces_rev;
       retire_tally = Hashtbl.copy t.retire_tally;
       total_retirements = t.total_retirements;
       stale_forwards = t.stale_forwards;

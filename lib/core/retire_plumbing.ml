@@ -117,7 +117,6 @@ type t = {
   mutable completed_rev : (int * int * float) list;
       (* (origin, value, completion time) for the current op/batch *)
   mutable overflow_next : int;  (* next virtual processor id to hire *)
-  mutable traces_rev : Sim.Trace.t list;
   mutable total_retirements : int;
   mutable stale_forwards : int;
   mutable open_completed_rev : (int * int * float) list;
@@ -211,7 +210,6 @@ let create_state ?(seed = 42) ?delay ?faults ?(failure_aware = false)
     value = 0;
     completed_rev = [];
     overflow_next = n + 1;
-    traces_rev = [];
     total_retirements = 0;
     stale_forwards = 0;
     open_completed_rev = [];
@@ -458,7 +456,8 @@ let config t = t.cfg
 let tree t = t.tree
 let value t = t.value
 let metrics t = Sim.Network.metrics t.net
-let traces t = List.rev t.traces_rev
+let traces t = Sim.Network.traces t.net
+let observe t f = Sim.Network.observe t.net f
 let node_worker t flat = t.nodes.(flat).worker
 let node_age t flat = t.nodes.(flat).age
 let retirements_of_node t flat = t.nodes.(flat).retirements
@@ -475,8 +474,7 @@ let inc ~who t ~origin =
   t.completed_rev <- [];
   launch t ~origin;
   ignore (Sim.Network.run_to_quiescence t.net);
-  let trace = Sim.Network.end_op t.net in
-  t.traces_rev <- trace :: t.traces_rev;
+  ignore (Sim.Network.end_op t.net);
   (* First completion for this origin: under duplication faults the value
      can arrive twice; without faults there is exactly one. *)
   match
@@ -498,8 +496,7 @@ let run_batch ~who t ~origins =
   t.completed_rev <- [];
   List.iter (fun origin -> launch t ~origin) origins;
   ignore (Sim.Network.run_to_quiescence t.net);
-  let trace = Sim.Network.end_op t.net in
-  t.traces_rev <- trace :: t.traces_rev;
+  ignore (Sim.Network.end_op t.net);
   List.rev_map (fun (o, v, _) -> (o, v)) t.completed_rev
 
 let run_batch_timed ~who t ?(stagger = 0.) ~origins () =
@@ -521,8 +518,7 @@ let run_batch_timed ~who t ?(stagger = 0.) ~origins () =
           (fun () -> launch t ~origin))
     origins;
   ignore (Sim.Network.run_to_quiescence t.net);
-  let trace = Sim.Network.end_op t.net in
-  t.traces_rev <- trace :: t.traces_rev;
+  ignore (Sim.Network.end_op t.net);
   List.rev_map
     (fun (origin, value, completed_at) ->
       {

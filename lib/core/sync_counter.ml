@@ -97,7 +97,6 @@ type t = {
   mutable origin : int;
   mutable replies : int option array;
   mutable completed : int;
-  mutable traces_rev : Sim.Trace.t list;
 }
 
 let name = "sync-count"
@@ -270,7 +269,6 @@ let create_with ?(seed = 42) ?delay ?faults ?(guard = true) ~n () =
       origin = 0;
       replies = [||];
       completed = 0;
-      traces_rev = [];
     }
   in
   Sim.Network.set_handler net (fun ~self ~src payload ->
@@ -289,7 +287,8 @@ let value t = t.completed
 
 let metrics t = Sim.Network.metrics t.net
 
-let traces t = List.rev t.traces_rev
+let traces t = Sim.Network.traces t.net
+let observe t f = Sim.Network.observe t.net f
 
 let crashed t p = Sim.Network.crashed t.net p
 
@@ -310,8 +309,7 @@ let inc t ~origin =
     if dst <> origin then Sim.Network.send t.net ~src:origin ~dst Start
   done;
   ignore (Sim.Network.run_to_quiescence t.net);
-  let trace = Sim.Network.end_op t.net in
-  t.traces_rev <- trace :: t.traces_rev;
+  ignore (Sim.Network.end_op t.net);
   (* Oracle checks over the replicas the adversary does not own: first
      agreement (the spec this counter exists for), then completeness. *)
   let disagreement = ref None and incomplete = ref None in

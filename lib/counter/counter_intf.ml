@@ -89,12 +89,25 @@ module type S = sig
   (** Cumulative per-processor message loads. *)
 
   val traces : t -> Sim.Trace.t list
-  (** Traces of all completed operations, chronological. *)
+  (** Traces of the completed operations, chronological — all of them
+      unless {!observe} was called, in which case only those completed
+      before the call. Kept by the counter's {!Sim.Network}
+      ({!Sim.Network.traces}). *)
+
+  val observe : t -> (Sim.Trace.t -> unit) -> unit
+  (** [observe t f] hands the trace of every operation completed from now
+      on to [f], once, in order, and stops retaining them: {!traces} no
+      longer grows. Streaming consumers ({!Driver.run}, the lower-bound
+      adversary) use this to run in memory independent of the number of
+      operations. A later call replaces [f]. *)
 
   val clone : t -> t
   (** Deep copy of the quiescent counter state (same future behaviour).
       Used by the lower-bound adversary to evaluate hypothetical
-      operations without committing them. *)
+      operations without committing them. The clone starts with the
+      original's {!traces} but not with its observer: it retains its own
+      later traces until {!observe} is called on it, so trial operations
+      on a clone never reach the original's observer. *)
 end
 
 type counter = (module S)

@@ -54,43 +54,42 @@ let run ?(seed = 42) ?delay ?faults ?(sim_domains = 1)
       Sim.Network.with_shards sim_domains (fun () ->
           C.create ?delay ?faults ~seed ~n ())
   in
+  (* One pass over each operation's trace as it closes, so nothing is
+     retained: the Hot Spot monitor keeps the previous operation's
+     processors, and the latency sum is added in chronological order. *)
+  let hotspot = Hotspot.create () in
+  let traced = ref 0 and max_op_messages = ref 0 in
+  let total_latency = ref 0. and max_op_latency = ref 0. in
+  C.observe counter (fun trace ->
+      Hotspot.feed hotspot trace;
+      incr traced;
+      max_op_messages := max !max_op_messages (Sim.Trace.message_count trace);
+      let d = Sim.Trace.duration trace in
+      total_latency := !total_latency +. d;
+      max_op_latency := Float.max !max_op_latency d);
   let schedule_rng = Sim.Rng.create ~seed:(seed + 1) in
   let origins = Schedule.origins schedule schedule_rng ~n in
-  let outcomes = List.map (fun origin -> C.inc_result counter ~origin) origins in
-  let values =
-    Array.of_list (List.filter_map Counter_intf.outcome_value outcomes)
-  in
-  let stall_reasons =
-    List.filter_map
-      (function
-        | Counter_intf.Stalled reason -> Some reason
-        | Counter_intf.Completed _ -> None)
-      outcomes
-  in
+  let ops = ref 0 and values_rev = ref [] and stalls_rev = ref [] in
+  List.iter
+    (fun origin ->
+      incr ops;
+      match C.inc_result counter ~origin with
+      | Counter_intf.Completed v -> values_rev := v :: !values_rev
+      | Counter_intf.Stalled reason -> stalls_rev := reason :: !stalls_rev)
+    origins;
+  let values = Array.of_list (List.rev !values_rev) in
+  let stall_reasons = List.rev !stalls_rev in
   let stalled = List.length stall_reasons in
-  let traces = C.traces counter in
-  let violations = Hotspot.check traces in
+  let violations = Hotspot.violations hotspot in
   let metrics = C.metrics counter in
   let bottleneck_proc, bottleneck_load = Sim.Metrics.bottleneck metrics in
-  let max_op_messages =
-    List.fold_left (fun acc t -> max acc (Sim.Trace.message_count t)) 0 traces
-  in
-  let total_latency, max_op_latency =
-    List.fold_left
-      (fun (total, worst) t ->
-        let d = Sim.Trace.duration t in
-        (total +. d, Float.max worst d))
-      (0., 0.) traces
-  in
   let mean_op_latency =
-    match traces with
-    | [] -> 0.
-    | _ -> total_latency /. float_of_int (List.length traces)
+    if !traced = 0 then 0. else !total_latency /. float_of_int !traced
   in
   {
     counter_name = C.name;
     n;
-    ops = List.length outcomes;
+    ops = !ops;
     schedule = Format.asprintf "%a" Schedule.pp schedule;
     values;
     completed = Array.length values;
@@ -104,12 +103,12 @@ let run ?(seed = 42) ?delay ?faults ?(sim_domains = 1)
     bottleneck_proc;
     bottleneck_load;
     average_load = Sim.Metrics.average_load metrics;
-    max_op_messages;
+    max_op_messages = !max_op_messages;
     overflow_processors = Sim.Metrics.overflow_processors metrics;
     emergency_retirements = Sim.Metrics.emergency_retirements metrics;
     recoveries = Sim.Metrics.recoveries metrics;
     mean_op_latency;
-    max_op_latency;
+    max_op_latency = !max_op_latency;
   }
 
 let run_each_once ?seed ?delay c ~n = run ?seed ?delay c ~n ~schedule:Schedule.Each_once

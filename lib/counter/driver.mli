@@ -8,7 +8,9 @@
     - correctness = the multiset of returned values is exactly
       [{0, 1, ..., ops-1}] and, because operations are sequential, the
       values arrive in increasing order;
-    - the Hot Spot Lemma is checked over all consecutive operation pairs;
+    - the Hot Spot Lemma is checked over all consecutive operation pairs,
+      as each operation closes (the counter's traces are observed, not
+      retained, so a run's memory does not grow with its length);
     - loads come from the counter's {!Sim.Metrics}. *)
 
 type report = {

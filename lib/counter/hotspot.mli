@@ -19,10 +19,31 @@ type violation = {
   second_origin : int;
 }
 
+(** {1 Streaming monitor}
+
+    The lemma concerns consecutive operations only, so the monitor keeps
+    the previous operation's processor set as stamps in a per-processor
+    array, not the traces: feeding a run costs memory in the largest
+    processor id, not in the number of operations. *)
+
+type t
+
+val create : unit -> t
+
+val feed : t -> Sim.Trace.t -> unit
+(** Feed the next operation's trace (chronological order). Raises
+    [Invalid_argument] on a negative processor id. *)
+
+val violations : t -> violation list
+(** Violations among the traces fed so far, chronological. *)
+
+(** {1 Whole executions} *)
+
 val check : Sim.Trace.t list -> violation list
 (** [check traces] examines every consecutive pair of operation traces
     (chronological order) and returns all pairs with disjoint processor
-    sets. Empty result = lemma holds on this execution. *)
+    sets. Empty result = lemma holds on this execution. A fold of
+    {!feed} over [traces]. *)
 
 val holds : Sim.Trace.t list -> bool
 

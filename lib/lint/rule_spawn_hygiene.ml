@@ -39,6 +39,7 @@ let network_mutators =
     "declare_unordered";
     "begin_op";
     "end_op";
+    "observe";
     "with_scheduler";
     "with_shards";
   ]

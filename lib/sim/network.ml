@@ -165,6 +165,9 @@ type 'msg t = {
          does not re-box the float as a mutable record field would *)
   mutable deliveries : int;
   mutable trace : Trace.t option;
+  mutable log_rev : Trace.t list;
+      (* closed traces, newest first, while no observer is installed *)
+  mutable observer : (Trace.t -> unit) option;
   mutable op_count : int;
   mutable total_bits : int;
   mutable max_message_bits : int;
@@ -432,6 +435,8 @@ let create ?(seed = 0xC0FFEE) ?(delay = Delay.default) ?label ?bits
       clock = [| 0. |];
       deliveries = 0;
       trace = None;
+      log_rev = [];
+      observer = None;
       op_count = 0;
       total_bits = 0;
       max_message_bits = 0;
@@ -905,6 +910,8 @@ let clone_quiescent t =
     clock = Array.copy t.clock;
     deliveries = t.deliveries;
     trace = None;
+    log_rev = t.log_rev;
+    observer = None;
     op_count = t.op_count;
     total_bits = t.total_bits;
     max_message_bits = t.max_message_bits;
@@ -950,4 +957,11 @@ let end_op t =
   | None -> failwith "Network.end_op: no operation open"
   | Some trace ->
       t.trace <- None;
+      (match t.observer with
+      | Some f -> f trace
+      | None -> t.log_rev <- trace :: t.log_rev);
       trace
+
+let observe t f = t.observer <- Some f
+
+let traces t = List.rev t.log_rev

@@ -302,7 +302,18 @@ val begin_op : 'msg t -> origin:int -> unit
     are recorded until {!end_op}. Raises if an operation is already open. *)
 
 val end_op : 'msg t -> Trace.t
-(** Close the open operation and return its trace. Raises if none open. *)
+(** Close the open operation and return its trace. The trace also goes to
+    the observer when one is installed ({!observe}), and otherwise into
+    the network's log ({!traces}). Raises if none open. *)
+
+val observe : 'msg t -> (Trace.t -> unit) -> unit
+(** [observe t f] hands every trace closed from now on to [f] instead of
+    the log, which stops growing; what it already holds stays. A later
+    call replaces [f]. *)
+
+val traces : 'msg t -> Trace.t list
+(** The logged traces, chronological: every operation closed while no
+    observer was installed. *)
 
 val in_op : 'msg t -> bool
 
@@ -315,5 +326,6 @@ val clone_quiescent : 'msg t -> 'msg t
     operation counter, so the clone's future behaviour matches what the
     original's would be. The protocol handler is NOT carried over — the
     protocol must install a fresh handler (closing over its own cloned
-    state) via {!set_handler}. Raises [Failure] if messages are pending or
-    an operation is open. *)
+    state) via {!set_handler}. The trace log is carried over (shared, not
+    copied) but the observer is not: the clone logs its own operations.
+    Raises [Failure] if messages are pending or an operation is open. *)

@@ -64,12 +64,17 @@ let duration t =
 
 module Int_set = Set.Make (Int)
 
-let processor_set t =
-  let acc = ref (Int_set.singleton t.origin) in
+let iter_processors f t =
+  f t.origin;
   for i = 0 to t.count - 1 do
     let e = t.events_arr.(i) in
-    acc := Int_set.add e.src (Int_set.add e.dst !acc)
-  done;
+    f e.dst;
+    f e.src
+  done
+
+let processor_set t =
+  let acc = ref Int_set.empty in
+  iter_processors (fun p -> acc := Int_set.add p !acc) t;
   !acc
 
 let processors t = Int_set.elements (processor_set t)

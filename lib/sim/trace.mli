@@ -86,6 +86,11 @@ val processors : t -> int list
     including the origin (which at least sends the first message; for purely
     local operations it is still the only member). *)
 
+val iter_processors : (int -> unit) -> t -> unit
+(** [iter_processors f t] calls [f] on the origin, then on the receiver
+    and sender of every event in delivery order: every member of
+    {!processors}, with repeats, without building the set. *)
+
 val touches : t -> int -> bool
 (** [touches t q] iff processor [q] is in {!processors}. *)
 

@@ -15,7 +15,6 @@ module Make (O : Sequential_object.OBJECT) = struct
     mutable object_state : O.state;
     mutable last_result : O.result option;
     mutable operations : int;
-    mutable traces_rev : Sim.Trace.t list;
   }
 
   let supported_n n = max 1 n
@@ -38,7 +37,6 @@ module Make (O : Sequential_object.OBJECT) = struct
         object_state = O.initial;
         last_result = None;
         operations = 0;
-        traces_rev = [];
       }
     in
     Sim.Network.set_handler net (fun ~self ~src payload ->
@@ -53,7 +51,8 @@ module Make (O : Sequential_object.OBJECT) = struct
 
   let metrics t = Sim.Network.metrics t.net
 
-  let traces t = List.rev t.traces_rev
+  let traces t = Sim.Network.traces t.net
+  let observe t f = Sim.Network.observe t.net f
 
   let execute t ~origin operation =
     if origin < 1 || origin > t.n then
@@ -75,7 +74,7 @@ module Make (O : Sequential_object.OBJECT) = struct
         | None -> failwith "Central_object.execute: no reply"
       end
     in
-    t.traces_rev <- Sim.Network.end_op t.net :: t.traces_rev;
+    ignore (Sim.Network.end_op t.net);
     t.operations <- t.operations + 1;
     result
 
@@ -88,7 +87,6 @@ module Make (O : Sequential_object.OBJECT) = struct
         object_state = t.object_state;
         last_result = t.last_result;
         operations = t.operations;
-        traces_rev = t.traces_rev;
       }
     in
     Sim.Network.set_handler net (fun ~self ~src payload ->

@@ -23,5 +23,7 @@ module Make (O : Sequential_object.OBJECT) : sig
 
   val traces : t -> Sim.Trace.t list
 
+  val observe : t -> (Sim.Trace.t -> unit) -> unit
+
   val clone : t -> t
 end

@@ -39,7 +39,6 @@ module Make (O : Sequential_object.OBJECT) = struct
     mutable last_result : O.result option;
     mutable operations : int;
     mutable overflow_next : int;
-    mutable traces_rev : Sim.Trace.t list;
     mutable total_retirements : int;
   }
 
@@ -209,7 +208,6 @@ module Make (O : Sequential_object.OBJECT) = struct
         last_result = None;
         operations = 0;
         overflow_next = n + 1;
-        traces_rev = [];
         total_retirements = 0;
       }
     in
@@ -234,7 +232,8 @@ module Make (O : Sequential_object.OBJECT) = struct
 
   let metrics t = Sim.Network.metrics t.net
 
-  let traces t = List.rev t.traces_rev
+  let traces t = Sim.Network.traces t.net
+  let observe t f = Sim.Network.observe t.net f
 
   let total_retirements t = t.total_retirements
 
@@ -270,8 +269,7 @@ module Make (O : Sequential_object.OBJECT) = struct
       ~dst:t.leaf_believed_parent.(origin - 1)
       (Request { origin; node = parent; operation });
     ignore (Sim.Network.run_to_quiescence t.net);
-    let trace = Sim.Network.end_op t.net in
-    t.traces_rev <- trace :: t.traces_rev;
+    ignore (Sim.Network.end_op t.net);
     t.operations <- t.operations + 1;
     match t.last_result with
     | Some r -> r
@@ -294,7 +292,6 @@ module Make (O : Sequential_object.OBJECT) = struct
         last_result = t.last_result;
         operations = t.operations;
         overflow_next = t.overflow_next;
-        traces_rev = t.traces_rev;
         total_retirements = t.total_retirements;
       }
     in

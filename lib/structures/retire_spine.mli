@@ -47,6 +47,8 @@ module Make (O : Sequential_object.OBJECT) : sig
 
   val traces : t -> Sim.Trace.t list
 
+  val observe : t -> (Sim.Trace.t -> unit) -> unit
+
   val total_retirements : t -> int
 
   val believed_consistent : t -> bool

@@ -328,6 +328,7 @@ let durable_cas_tight : Counter.Counter_intf.counter =
     let value = D.value
     let metrics = D.metrics
     let traces = D.traces
+    let observe = D.observe
     let inc = D.inc
     let inc_result = D.inc_result
     let crashed = D.crashed
