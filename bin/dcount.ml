@@ -146,15 +146,10 @@ let schedule_conv =
   Arg.conv (parse, Counter.Schedule.pp)
 
 let run_cmd =
-  let run counter n seed delay faults schedule debug seeds domains sim_domains
-      =
+  let run counter n seed delay faults schedule debug seeds domains =
     if debug then begin
       Logs.set_reporter (Logs_fmt.reporter ());
       Logs.set_level (Some Logs.Debug)
-    end;
-    if sim_domains < 1 then begin
-      Format.eprintf "dcount run: --sim-domains must be >= 1@.";
-      exit 2
     end;
     (let (module C : Counter.Counter_intf.S) = counter in
      guard_byz_plan "run" C.name faults);
@@ -166,8 +161,7 @@ let run_cmd =
     in
     if seeds <= 1 then begin
       let r =
-        Counter.Driver.run ~seed ?delay ?faults ~sim_domains counter ~n
-          ~schedule
+        Counter.Driver.run ~seed ?delay ?faults counter ~n ~schedule
       in
       Format.printf "%a@." Counter.Driver.pp_report r;
       if
@@ -185,8 +179,7 @@ let run_cmd =
       let reports =
         Analysis.Replicate.parallel_map ?domains
           (fun s ->
-            Counter.Driver.run ~seed:s ?delay ?faults ~sim_domains counter ~n
-              ~schedule)
+            Counter.Driver.run ~seed:s ?delay ?faults counter ~n ~schedule)
           seed_list
       in
       let by_seed = List.combine seed_list reports in
@@ -264,21 +257,11 @@ let run_cmd =
             "Number of domains for replicated runs (default: the runtime's \
              recommended count). Only meaningful with $(b,--seeds).")
   in
-  let sim_domains_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "sim-domains" ] ~docv:"D"
-          ~doc:
-            "Shard the simulator's event queue across D per-block heaps \
-             merged in one canonical order (see docs/PERFORMANCE.md). \
-             Reports are bit-identical for every D — this exercises the \
-             sharded engine's storage layout, not a different semantics.")
-  in
   Cmd.v
     (Cmd.info "run" ~doc:"Run a schedule against a counter and report loads.")
     Term.(
       const run $ counter_arg $ n_arg $ seed_arg $ delay_arg $ faults_arg
-      $ schedule_arg $ debug_arg $ seeds_arg $ domains_arg $ sim_domains_arg)
+      $ schedule_arg $ debug_arg $ seeds_arg $ domains_arg)
 
 (* ------------------------------------------------------------------ *)
 (* load *)
@@ -292,11 +275,7 @@ let load_cmd =
     in
     Arg.conv (parse, Sim.Arrivals.pp)
   in
-  let run name n seed delay faults rate arrivals ops sim_domains check =
-    if sim_domains < 1 then begin
-      Format.eprintf "dcount load: --sim-domains must be >= 1@.";
-      exit 2
-    end;
+  let run name n seed delay faults rate arrivals ops check =
     if ops < 1 then begin
       Format.eprintf "dcount load: --ops must be >= 1@.";
       exit 2
@@ -335,8 +314,7 @@ let load_cmd =
       Some (Option.value delay ~default:(Sim.Delay.Exponential 1.0))
     in
     let r =
-      Counter.Driver.run_load ~seed ?delay ?faults ~sim_domains counter ~n
-        ~arrivals ~ops
+      Counter.Driver.run_load ~seed ?delay ?faults counter ~n ~arrivals ~ops
     in
     Format.printf "%a@." Counter.Driver.pp_load_report r;
     if check then begin
@@ -390,14 +368,6 @@ let load_cmd =
       value & opt int 1000
       & info [ "ops" ] ~docv:"OPS" ~doc:"Operations to inject (default 1000).")
   in
-  let sim_domains_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "sim-domains" ] ~docv:"D"
-          ~doc:
-            "Event-queue shard count; reports are bit-identical for every \
-             D (the arrival plan is computed before the network exists).")
-  in
   let check_arg =
     Arg.(
       value & flag
@@ -416,7 +386,7 @@ let load_cmd =
           verdicts over the concurrent history (docs/LOAD.md).")
     Term.(
       const run $ name_arg $ n_arg $ seed_arg $ delay_arg $ faults_arg
-      $ rate_arg $ arrivals_arg $ ops_arg $ sim_domains_arg $ check_arg)
+      $ rate_arg $ arrivals_arg $ ops_arg $ check_arg)
 
 (* ------------------------------------------------------------------ *)
 (* chaos *)

@@ -63,17 +63,30 @@ let parallel_map ?domains f xs =
       let spawned =
         List.init (domains - 1) (fun w -> Domain.spawn (worker (w + 1)))
       in
-      (* Join even when the coordinator's own chunk raises: an orphaned
-         domain would keep writing [results] (and running [f]) behind
-         the caller's back after the exception propagates. If a worker
-         also failed, its exception wins — either way the pool is
-         drained before anything escapes. *)
-      (match worker 0 () with
-      | () -> ()
-      | exception e ->
-          List.iter Domain.join spawned;
-          raise e);
-      List.iter Domain.join spawned;
+      (* Join every domain before anything escapes: an orphaned domain
+         would keep writing [results] (and running [f]) behind the
+         caller's back. Failures are collected in worker order — the
+         coordinator's own chunk is worker 0 — and the first one is
+         re-raised once the whole pool is drained. *)
+      let capture run =
+        (match run () with
+        | () -> None
+        | exception e -> Some (e, Printexc.get_raw_backtrace ()))
+        [@dlint.allow
+          "P1: held only until every domain is joined, then the first \
+           failure (Stall included) is re-raised below"]
+      in
+      let own = capture (worker 0) in
+      let failure =
+        List.fold_left
+          (fun first d ->
+            let joined = capture (fun () -> Domain.join d) in
+            match first with Some _ -> first | None -> joined)
+          own spawned
+      in
+      Option.iter
+        (fun (e, bt) -> Printexc.raise_with_backtrace e bt)
+        failure;
       Array.to_list
         (Array.map
            (function Some v -> v | None -> assert false)

@@ -24,7 +24,14 @@ val parallel_map : ?domains:int -> ('a -> 'b) -> 'a list -> 'b list
     (default: [Domain.recommended_domain_count ()], capped at the list
     length) additional domains, preserving order. [f] must not share
     mutable state across calls. Falls back to [List.map] for lists of
-    length [<= 1]. Exceptions raised by [f] are re-raised. *)
+    length [<= 1].
+
+    Every spawned domain is joined before the call returns or raises,
+    so no call of [f] outlives it. If [f] raises, the exception of the
+    lowest-numbered failing worker is re-raised and the others are
+    dropped: worker [w] evaluates the elements at indices [w],
+    [w + d], [w + 2d], ... for [d] workers, and the calling domain is
+    worker 0. *)
 
 val across_seeds_parallel :
   ?domains:int -> seeds:int list -> (int -> float) -> summary

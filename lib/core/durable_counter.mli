@@ -21,7 +21,7 @@
 
     Failure-awareness mirrors {!Retire_ft}: with {!Sim.Fault.none} no
     timers are armed and no Rng draws happen — runs are bit-identical
-    across shard counts. The four ported oswald specs are checked at
+    from run to run. The four ported oswald specs are checked at
     runtime by {!Wal.Monitor}; a violation surfaces as a
     ["spec: ..."]-prefixed {!Counter.Counter_intf.Stall}, which the
     model checker maps to its durability properties. *)

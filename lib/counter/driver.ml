@@ -42,18 +42,9 @@ let values_distinct values =
     sorted;
   !ok
 
-let run ?(seed = 42) ?delay ?faults ?(sim_domains = 1)
-    (module C : Counter_intf.S) ~n ~schedule =
+let run ?(seed = 42) ?delay ?faults (module C : Counter_intf.S) ~n ~schedule =
   let n = C.supported_n n in
-  let counter =
-    (* Counters build their networks inside [create]; the ambient shard
-       count reaches them there (see Sim.Network.with_shards). Dispatch
-       stays sequential, so reports are bit-identical for any count. *)
-    if sim_domains = 1 then C.create ?delay ?faults ~seed ~n ()
-    else
-      Sim.Network.with_shards sim_domains (fun () ->
-          C.create ?delay ?faults ~seed ~n ())
-  in
+  let counter = C.create ?delay ?faults ~seed ~n () in
   (* One pass over each operation's trace as it closes, so nothing is
      retained: the Hot Spot monitor keeps the previous operation's
      processors, and the latency sum is added in chronological order. *)
@@ -160,16 +151,11 @@ type load_report = {
   average_load : float;
 }
 
-let run_load ?(seed = 42) ?delay ?faults ?(sim_domains = 1)
-    (module C : Counter_intf.CONCURRENT) ~n ~arrivals ~ops =
+let run_load ?(seed = 42) ?delay ?faults (module C : Counter_intf.CONCURRENT)
+    ~n ~arrivals ~ops =
   if ops < 1 then invalid_arg "Driver.run_load: ops must be >= 1";
   let n = C.supported_n n in
-  let counter =
-    if sim_domains = 1 then C.create ?delay ?faults ~seed ~n ()
-    else
-      Sim.Network.with_shards sim_domains (fun () ->
-          C.create ?delay ?faults ~seed ~n ())
-  in
+  let counter = C.create ?delay ?faults ~seed ~n () in
   (* The arrival plan is a pure function of (arrivals, seed, n, ops),
      computed before the network runs: every operation's identity is its
      index, so completions can be joined back to invocation times no

@@ -57,7 +57,6 @@ val run :
   ?seed:int ->
   ?delay:Sim.Delay.t ->
   ?faults:Sim.Fault.t ->
-  ?sim_domains:int ->
   Counter_intf.counter ->
   n:int ->
   schedule:Schedule.t ->
@@ -66,12 +65,7 @@ val run :
     [C.supported_n n] processors and executes the schedule. [seed]
     (default 42) seeds both the counter and the schedule's own draws.
     [faults] (default {!Sim.Fault.none}) is handed to the counter;
-    stalled operations are tallied in the report instead of raising.
-    [sim_domains] (default 1) is the event-queue shard count installed
-    around counter creation via {!Sim.Network.with_shards}: reports are
-    bit-identical for every value — the determinism matrix in
-    [test/test_determinism.ml] pins this — so it is a storage/layout
-    knob, not a semantics knob. *)
+    stalled operations are tallied in the report instead of raising. *)
 
 val run_each_once : ?seed:int -> ?delay:Sim.Delay.t -> Counter_intf.counter -> n:int -> report
 (** The lower-bound setting: each processor increments exactly once. *)
@@ -141,7 +135,6 @@ val run_load :
   ?seed:int ->
   ?delay:Sim.Delay.t ->
   ?faults:Sim.Fault.t ->
-  ?sim_domains:int ->
   Counter_intf.concurrent ->
   n:int ->
   arrivals:Sim.Arrivals.t ->
@@ -150,8 +143,8 @@ val run_load :
 (** [run_load (module C) ~n ~arrivals ~ops] creates a fresh counter for
     [C.supported_n n] processors, injects [ops] operations at the times
     of {!Sim.Arrivals.merge} (computed up front from [seed + 1], so the
-    plan is bit-identical for every [sim_domains] value, like {!run}),
-    runs to quiescence and joins completions back to invocation times by
+    plan does not depend on the counter or its delay model), runs to
+    quiescence and joins completions back to invocation times by
     operation id. Operations that never complete (crashes, lost
     messages) are counted in [lost], not silently dropped. *)
 

@@ -325,7 +325,7 @@ let referenced_names (e : Ppxlib.expression) =
 
 (* Names reachable from the seeds through binding bodies: the intra-file
    call-graph closure that makes "spawn context" cover helpers like
-   Par.worker_loop -> run_job -> drain/process. *)
+   worker -> run_job -> drain/process. *)
 let reachable bindings seeds =
   let rec go seen frontier =
     match frontier with

@@ -1,8 +1,8 @@
 (* R2 — barrier publication.
 
-   The sharded engine's happens-before edge is the Mutex-guarded round
-   handshake: workers publish results (mail outboxes, per-shard stats),
-   then take ctrl.m, bump the done-count and Condition.signal the
+   A round-based worker pool's happens-before edge is the Mutex-guarded
+   round handshake: workers publish results (outboxes, per-worker stats),
+   then take the round mutex, bump the done-count and Condition.signal the
    coordinator. A worker write that happens *after* its signal — and
    outside any mutex bracket — races the coordinator, which may already
    be reading the round's results. Position relative to the signal is

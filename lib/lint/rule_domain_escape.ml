@@ -3,8 +3,8 @@
    Mutable state captured by a closure handed to Domain.spawn and also
    touched outside it is a data race unless every access carries
    syntactic protection evidence: an Atomic (never recorded as mutable
-   access), a Mutex bracket in the same function (the ctrl.m pattern in
-   lib/sim/par.ml), or the join-publication discipline (workers write,
+   access), a Mutex bracket in the same function, or the
+   join-publication discipline (workers write,
    the coordinator reads only after Domain.join — Analysis.Replicate).
    Anything else needs its ownership argument written down in the
    [@dlint.allow "R1: ..."] ledger. One diagnostic per root per file,
@@ -34,7 +34,7 @@ let earliest l =
    performs an unprotected non-indexed write — the shared-accumulator
    shape, racy between sibling workers even if the coordinator waits for
    the join. Indexed worker writes are exempt from (b): per-index
-   ownership (worker w owns slot w) is the engine's sanctioned sharding
+   ownership (worker w owns slot w) is the sanctioned result-slot
    pattern, and (a) still catches a coordinator reading too early. *)
 let racy_key accesses k =
   let of_key =

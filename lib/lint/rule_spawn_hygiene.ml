@@ -4,13 +4,15 @@
    binding reachable from it, intra-file) must not: draw from an Rng
    stream (per-domain draws interleave nondeterministically with the
    seeded stream — derive a keyed stream outside the closure instead),
-   mutate the sequential Sim.Network engine (single-domain state; cross-
-   domain traffic goes through Par's mail/outbox discipline), or swallow
-   exceptions (a silently dead worker deadlocks the barrier). The one
-   sanctioned exception shape is Par's propagation channel: catch, park
-   the exception in shared state for the coordinator, keep the handshake
-   alive — recognized as a handler that binds the exception and stores
-   it with a mutation. *)
+   mutate the Sim.Network engine (single-domain state: parallelism in
+   this repo is whole independent runs per domain, each building its own
+   network, as in Analysis.Replicate), or swallow exceptions (a silently
+   dead worker leaves the coordinator waiting on, or reading, results
+   that never arrive). An exception should escape the closure, so that
+   Domain.join re-raises it in the coordinator. The one sanctioned
+   catching shape parks it instead: bind the exception and store it in
+   shared state for the coordinator to re-raise — recognized as a
+   handler that binds the exception and stores it with a mutation. *)
 
 let rng_draws =
   [
@@ -41,7 +43,6 @@ let network_mutators =
     "end_op";
     "observe";
     "with_scheduler";
-    "with_shards";
   ]
 
 let rec components (lid : Ppxlib.Longident.t) =
@@ -113,8 +114,8 @@ let has_mutation (e : Ppxlib.expression) =
   it#expression e;
   !found
 
-(* Par's worker-exception channel: [with e -> ctrl.failure <- Some e;
-   keep the handshake alive]. The handler must bind the exception and
+(* The parking shape: [with e -> failure := Some e], re-raised by the
+   coordinator after the join. The handler must bind the exception and
    visibly store it. *)
 let parks (c : Ppxlib.case) =
   match case_var c.pc_lhs with
@@ -130,11 +131,11 @@ let check_case ctx (c : Ppxlib.case) =
     Rule.emit ctx ~loc:c.pc_lhs.ppat_loc ~rule:"R3"
       ~message:
         "exception swallowed inside a spawned domain context — a silent \
-         worker death deadlocks the barrier"
+         worker death loses its results without telling the coordinator"
       ~hint:
-        "re-raise, or park the exception for the coordinator the way \
-         Par's worker-exception channel does (bind it and store it in \
-         shared failure state)"
+        "re-raise (Domain.join hands it to the coordinator), or park it \
+         for the coordinator: bind the exception and store it in shared \
+         failure state"
 
 let walk_body ctx (body : Ppxlib.expression) =
   let it =
@@ -163,10 +164,11 @@ let walk_body ctx (body : Ppxlib.expression) =
               Rule.emit ctx ~loc ~rule:"R3"
                 ~message:
                   "Sim.Network mutation inside a spawned domain context — \
-                   the sequential engine is single-domain state"
+                   the engine is single-domain state"
                 ~hint:
-                  "route cross-domain events through Par's mail/outbox \
-                   discipline instead of touching the engine directly"
+                  "give each domain a whole independent run that builds \
+                   its own network (Analysis.Replicate.parallel_map) \
+                   instead of touching a shared engine"
         | Pexp_try (_, cases) -> List.iter (check_case ctx) cases
         | Pexp_match (_, cases) ->
             List.iter

@@ -50,8 +50,8 @@ let of_string s =
   t
 
 (* Domain-separation tag for the keyed per-source streams, so arrival
-   draws can never collide with the Par engine's (sender, send-index)
-   message keys. *)
+   draws can never collide with another keyed stream derived from the
+   same seed. *)
 let stream_tag = 0x41525256 (* "ARRV" *)
 
 type source = {
@@ -106,7 +106,7 @@ let merge t ~seed ~n ~ops =
   Array.init ops (fun _ ->
       (* Earliest next arrival; ties broken by origin id, so the merged
          sequence is a pure function of (process, seed, n) — independent
-         of any engine or shard state. *)
+         of any engine state. *)
       let best = ref 0 in
       for i = 1 to n - 1 do
         if sources.(i).next_at < sources.(!best).next_at then best := i

@@ -26,19 +26,6 @@ let sample t rng =
   in
   floor_positive d
 
-(* Greatest lower bound of [sample]: no draw can come out smaller. This
-   is the conservative lookahead of the sharded engine (Sim.Par): an
-   event executing at time t can only schedule work at or after
-   t + lookahead, so every event strictly below the global minimum plus
-   the lookahead is safe to process in parallel. *)
-let lookahead t =
-  floor_positive
-    (match t with
-    | Constant d -> d
-    | Uniform (lo, _) -> lo
-    | Exponential _ -> 0.
-    | Adversarial_jitter base -> base)
-
 let pp ppf = function
   | Constant d -> Format.fprintf ppf "constant:%g" d
   | Uniform (lo, hi) -> Format.fprintf ppf "uniform:%g,%g" lo hi

@@ -24,14 +24,6 @@ val default : t
 val sample : t -> Rng.t -> float
 (** Draw one delivery latency. Always strictly positive. *)
 
-val lookahead : t -> float
-(** Greatest lower bound of {!sample} — the per-link minimum delay the
-    sharded engine ({!Par}) uses as conservative lookahead. Strictly
-    positive, but degenerate (1e-9) for models that can draw arbitrarily
-    small delays ([Exponential], [Uniform] with [lo <= 0]); {!Par.create}
-    rejects those because a vanishing lookahead collapses the safe
-    horizon to a single event per synchronization round. *)
-
 val pp : Format.formatter -> t -> unit
 
 val of_string : string -> (t, string) result

@@ -192,28 +192,6 @@ let copy t =
     corruptions = t.corruptions;
   }
 
-(* Bulk absorption — how Sim.Par folds its shard-local flat counters into
-   one Metrics after a run. Equivalent to [sent] calls to [on_send] plus
-   [recv] calls to [on_recv] for processor [p]. *)
-let absorb_load t ~p ~sent ~recv =
-  if p < 1 then invalid_arg "Metrics.absorb_load: processor ids start at 1";
-  if sent <> 0 || recv <> 0 then begin
-    grow t p;
-    t.sent.(p) <- t.sent.(p) + sent;
-    t.recv.(p) <- t.recv.(p) + recv;
-    t.total <- t.total + sent
-  end
-
-let absorb_faults t ~dropped ~duplicated ~crashes ~recoveries =
-  t.dropped <- t.dropped + dropped;
-  t.duplicated <- t.duplicated + duplicated;
-  t.crashes <- t.crashes + crashes;
-  t.recoveries <- t.recoveries + recoveries
-
-let absorb_byz t ~byzantine ~corruptions =
-  t.byzantine <- t.byzantine + byzantine;
-  t.corruptions <- t.corruptions + corruptions
-
 let merge_into ~dst src =
   for p = 1 to Array.length src.sent - 1 do
     if src.sent.(p) > 0 then begin

@@ -124,7 +124,6 @@ val create :
     dst:int ->
     'msg ->
     'msg) ->
-  ?shards:int ->
   n:int ->
   unit ->
   'msg t
@@ -155,30 +154,7 @@ val create :
     [Invalid_argument] when the plan carries [byzval] rules but no
     [corrupt] was supplied: the network cannot rewrite an opaque
     payload, and running such a plan honestly would be worse than
-    refusing.
-
-    [shards] (default: the ambient count installed by {!with_shards},
-    itself defaulting to 1) splits the event queue into that many
-    per-block heaps, processors partitioned into contiguous id blocks.
-    Dispatch stays single-threaded; what sharding buys here is the
-    storage layout of {!Par}'s multi-domain engine under the sequential
-    dispatcher, so the CLI's [--sim-domains] flag exercises the sharded
-    structures on {e every} counter. Events are keyed by one
-    network-global send sequence, so the merged delivery order — and
-    every {!Metrics.checksum} — is bit-identical for any shard count,
-    all delay models and all fault plans. Counts above [n] are clamped
-    to [n]. *)
-
-val with_shards : int -> (unit -> 'a) -> 'a
-(** [with_shards s f] runs [f] with [s] installed as the ambient default
-    shard count: every network {!create}d during [f] without an explicit
-    [?shards] is born with [s] event-queue shards. Same pattern (and same
-    motivation) as {!with_scheduler}; the previous count is restored on
-    exit, exceptions included. Raises [Invalid_argument] when [s < 1]. *)
-
-val shards : 'msg t -> int
-(** Number of event-queue shards this network was created with (after
-    clamping to [n]). *)
+    refusing. *)
 
 val set_handler : 'msg t -> (self:int -> src:int -> 'msg -> unit) -> unit
 (** Install the protocol: [handler ~self ~src msg] runs when processor

@@ -23,12 +23,11 @@ let split t = { state = bits64 t }
 let copy t = { state = t.state }
 
 (* Stateless derivation: a stream that is a pure function of
-   (seed, a, b), independent of any draw order elsewhere. The sharded
-   engine keys one on (source processor, per-source send index) for each
-   message, so delay samples do not depend on the order in which domains
-   happen to execute — the keystone of its determinism argument. Each
-   coordinate is absorbed with a golden-gamma step + mix, SplitMix64's
-   own sequence construction. *)
+   (seed, a, b), independent of any draw order elsewhere. Arrivals keys
+   one per source, so a source's draws do not depend on how many other
+   sources exist or in which order they are consumed. Each coordinate is
+   absorbed with a golden-gamma step + mix, SplitMix64's own sequence
+   construction. *)
 let keyed ~seed a b =
   let absorb s v = mix64 (Int64.add s (Int64.mul golden_gamma (Int64.of_int v))) in
   { state = absorb (absorb (mix64 (Int64.of_int seed)) a) b }

@@ -27,9 +27,9 @@ val copy : t -> t
 val keyed : seed:int -> int -> int -> t
 (** [keyed ~seed a b] is a stream that is a pure function of the triple
     [(seed, a, b)] — stateless derivation, no shared generator advanced.
-    The sharded engine ({!Par}) keys one on (sender, per-sender send
-    index) per message so that delay draws are independent of domain
-    execution order. Distinct triples give independent streams. *)
+    {!Arrivals} keys one per source on [(origin, tag)], so a source's
+    draws do not depend on how many other sources exist or in which
+    order they are consumed. Distinct triples give independent streams. *)
 
 val bits64 : t -> int64
 (** Next raw 64-bit output. *)

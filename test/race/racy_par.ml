@@ -1,4 +1,4 @@
-(* Negative control for R1 (domain-escape): a Par-shaped worker pool
+(* Negative control for R1 (domain-escape): a two-domain worker pool
    whose shared counter is a plain ref, deliberately unprotected. drace
    must flag it statically (make lint-race) and test_race pins down the
    runtime misbehaviour. Lives under test/ precisely so the library

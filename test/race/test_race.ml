@@ -42,7 +42,7 @@ let test_swept_sources_clean () =
     (fun file ->
       let kept = drace_findings file in
       Alcotest.(check (list string)) (file ^ " drace-clean") [] kept)
-    [ "../../lib/sim/par.ml"; "../../lib/analysis/replicate.ml" ]
+    [ "../../lib/analysis/replicate.ml" ]
 
 let test_lost_update () =
   (* two increments, checksum 2 — the race keeps exactly one *)

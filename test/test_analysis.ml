@@ -219,6 +219,40 @@ let test_parallel_map_runs_simulations () =
     "parallel = sequential" (List.map run seeds)
     (Rep.parallel_map ~domains:3 run seeds)
 
+(* A failing worker must not orphan its siblings: every domain is joined
+   before the exception escapes, and the lowest-numbered failure wins.
+   Worker [w] of [d] takes indices [w], [w + d], ...; the caller is
+   worker 0. Worker 2's element outlasts worker 1's failure, so a map
+   that returns as soon as one join raises leaves it running. *)
+let test_parallel_map_joins_every_domain_on_failure () =
+  let run ~fail =
+    let finished = Atomic.make false in
+    let f i =
+      if List.mem i fail then failwith (Printf.sprintf "worker %d" i)
+      else if i = 2 then begin
+        Unix.sleepf 0.3;
+        Atomic.set finished true;
+        i
+      end
+      else i
+    in
+    let raised =
+      match Rep.parallel_map ~domains:3 f [ 0; 1; 2 ] with
+      | _ -> None
+      | exception Failure msg -> Some msg
+    in
+    (raised, Atomic.get finished)
+  in
+  let raised, finished = run ~fail:[ 1 ] in
+  Alcotest.(check (option string)) "worker 1 raised" (Some "worker 1") raised;
+  Alcotest.(check bool) "worker 2 joined before the raise" true finished;
+  (* The caller's own chunk raises too: still every domain is joined, and
+     the caller's exception (worker 0) wins over worker 1's. *)
+  let raised, finished = run ~fail:[ 0; 1 ] in
+  Alcotest.(check (option string)) "worker 0 wins" (Some "worker 0") raised;
+  Alcotest.(check bool) "worker 2 joined after the caller raised" true
+    finished
+
 let () =
   Alcotest.run "analysis"
     [
@@ -261,5 +295,7 @@ let () =
           Alcotest.test_case "parallel = sequential" `Quick test_parallel_map_matches_sequential;
           Alcotest.test_case "edge cases" `Quick test_parallel_map_edge_cases;
           Alcotest.test_case "parallel simulations" `Quick test_parallel_map_runs_simulations;
+          Alcotest.test_case "failure joins every domain" `Quick
+            test_parallel_map_joins_every_domain_on_failure;
         ] );
     ]

@@ -437,8 +437,8 @@ let test_control_splits_under_guarded_budget () =
 
 (* ------------------------------------------------------------------ *)
 (* Fault.none discipline: the Byzantine machinery must cost nothing and
-   change nothing when no plan arms it. (The pinned golden numbers and
-   the shard matrix live in test_determinism.ml.) *)
+   change nothing when no plan arms it. (The pinned golden numbers live
+   in test_determinism.ml.) *)
 
 let sync_metrics ?faults ~guard ~n ~seed () =
   let module C = Core.Sync_counter in

@@ -1,5 +1,5 @@
 (* Tests for the simulator substrate: Rng, Heap, Delay, Trace, Comm_list,
-   Metrics, Network. *)
+   Metrics, Network, Ltbl. *)
 
 let check = Alcotest.check
 
@@ -587,6 +587,47 @@ let prop_network_message_conservation =
       let m = Sim.Network.metrics net in
       Sim.Metrics.total_load m = 2 * Sim.Metrics.total_messages m)
 
+(* ------------------------------------------------------------------ *)
+(* Ltbl: the sparse per-link table behind Network's FIFO bookkeeping *)
+
+(* Model check against a reference Hashtbl over a key space big enough to
+   force several growth rehashes from the tiny initial capacity. *)
+let ltbl_vs_model =
+  QCheck.Test.make ~count:300 ~name:"Ltbl.get/set agree with a Hashtbl model"
+    QCheck.(list (triple (int_range 1 60) (int_range 1 60) (int_range 0 999)))
+    (fun ops ->
+      let t = Sim.Ltbl.create ~initial:4 ~absent:neg_infinity () in
+      let model = Hashtbl.create 16 in
+      List.for_all
+        (fun (src, dst, v) ->
+          let key = Sim.Ltbl.link_key ~src ~dst in
+          let expected =
+            match Hashtbl.find_opt model key with
+            | Some x -> x
+            | None -> neg_infinity
+          in
+          let got = Sim.Ltbl.get t key in
+          let value = float_of_int v in
+          Hashtbl.replace model key value;
+          Sim.Ltbl.set t key value;
+          Float.equal got expected
+          && Float.equal (Sim.Ltbl.get t key) value
+          && Sim.Ltbl.length t = Hashtbl.length model)
+        ops)
+
+let test_ltbl_directed_links () =
+  let t = Sim.Ltbl.create ~absent:nan () in
+  Sim.Ltbl.set t (Sim.Ltbl.link_key ~src:1 ~dst:2) 1.0;
+  Sim.Ltbl.set t (Sim.Ltbl.link_key ~src:2 ~dst:1) 2.0;
+  check (Alcotest.float 0.) "1->2" 1.0
+    (Sim.Ltbl.get t (Sim.Ltbl.link_key ~src:1 ~dst:2));
+  check (Alcotest.float 0.) "2->1 is a distinct link" 2.0
+    (Sim.Ltbl.get t (Sim.Ltbl.link_key ~src:2 ~dst:1));
+  let copy = Sim.Ltbl.copy t in
+  Sim.Ltbl.set copy (Sim.Ltbl.link_key ~src:1 ~dst:2) 9.0;
+  check (Alcotest.float 0.) "copy is independent" 1.0
+    (Sim.Ltbl.get t (Sim.Ltbl.link_key ~src:1 ~dst:2))
+
 let () =
   let q = QCheck_alcotest.to_alcotest in
   Alcotest.run "sim"
@@ -664,5 +705,11 @@ let () =
           Alcotest.test_case "fifo links" `Quick test_network_fifo_links_under_reordering_delay;
           Alcotest.test_case "fifo is per link" `Quick test_network_fifo_cross_link_free;
           q prop_network_message_conservation;
+        ] );
+      ( "ltbl",
+        [
+          q ltbl_vs_model;
+          Alcotest.test_case "directed links are distinct" `Quick
+            test_ltbl_directed_links;
         ] );
     ]
