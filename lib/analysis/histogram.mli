@@ -26,4 +26,6 @@ val quantile : float array -> q:float -> float
 type latency_summary = { p50 : float; p90 : float; p99 : float; max : float }
 
 val summary : float array -> latency_summary
-(** The standard reporting quartet over a non-empty sample array. *)
+(** The standard reporting quartet over a non-empty sample array: the
+    same four values as {!quantile} at [0.5], [0.9], [0.99] and [1.], from
+    one sorted copy. @raise Invalid_argument on an empty sample. *)

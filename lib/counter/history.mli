@@ -68,8 +68,13 @@ type analysis = {
 }
 
 val analyze : op list -> analysis
-(** All concurrent-history verdicts of one history in one pass — what
-    {!Driver.run_load} reports and [dcount load --check] gates on. *)
+(** All concurrent-history verdicts of one history — what
+    {!Driver.run_load} reports and [dcount load --check] gates on. Sorts
+    the history once by invocation and once by completion, then derives
+    every field from linear passes over those two arrays: the verdict
+    sweep, a seen-bitmap for [quiescent], and one merge of the endpoints
+    for both overlap measures. Equal to calling the functions above one by
+    one. *)
 
 val pp_op : Format.formatter -> op -> unit
 

@@ -103,15 +103,40 @@ let merge t ~seed ~n ~ops =
   if ops < 0 then invalid_arg "Arrivals.merge: ops < 0";
   validate t;
   let sources = Array.init n (fun i -> source t ~seed ~origin:(i + 1)) in
+  (* A winner tree over the sources' next arrival times: leaves [m + i]
+     (padded to a power of two with never-arriving sources), each inner
+     node the earlier of its children, ties to the lower index. The root
+     is the earliest next arrival with ties broken by origin id, so the
+     merged sequence is a pure function of (process, seed, n) —
+     independent of any engine state. O(log n) per arrival. *)
+  let m = ref 1 in
+  while !m < n do
+    m := 2 * !m
+  done;
+  let m = !m in
+  let next_at =
+    Array.init m (fun i -> if i < n then sources.(i).next_at else infinity)
+  in
+  let earlier a b =
+    let ta = next_at.(a) and tb = next_at.(b) in
+    if ta < tb || (ta = tb && a < b) then a else b
+  in
+  let winner = Array.make (2 * m) 0 in
+  for i = 0 to m - 1 do
+    winner.(m + i) <- i
+  done;
+  for k = m - 1 downto 1 do
+    winner.(k) <- earlier winner.(2 * k) winner.((2 * k) + 1)
+  done;
   Array.init ops (fun _ ->
-      (* Earliest next arrival; ties broken by origin id, so the merged
-         sequence is a pure function of (process, seed, n) — independent
-         of any engine state. *)
-      let best = ref 0 in
-      for i = 1 to n - 1 do
-        if sources.(i).next_at < sources.(!best).next_at then best := i
-      done;
-      let src = sources.(!best) in
+      let best = winner.(1) in
+      let src = sources.(best) in
       let at = src.next_at in
       advance src;
-      (at, !best + 1))
+      next_at.(best) <- src.next_at;
+      let k = ref ((m + best) / 2) in
+      while !k >= 1 do
+        winner.(!k) <- earlier winner.(2 * !k) winner.((2 * !k) + 1);
+        k := !k / 2
+      done;
+      (at, best + 1))

@@ -6,10 +6,21 @@
     even under the [Constant] delay model where every delivery time
     collides.
 
-    Internally a structure-of-arrays 4-ary heap (unboxed float priorities,
-    parallel int/value columns): steady-state push/pop allocates nothing.
-    The (prio, seq) pop order is a total order, so results are identical to
-    any other stable priority queue — see docs/PERFORMANCE.md. *)
+    Internally two parts share one sequence counter:
+    - a structure-of-arrays 4-ary heap (unboxed float priorities, parallel
+      int/value columns): steady-state push/pop allocates nothing;
+    - a monotone FIFO lane, a ring buffer that takes every push whose
+      priority is [>=] the lane's last entry. Pushes made in priority order
+      (open-loop arrival timers, constant-delay deliveries) push and pop in
+      O(1) and never enter the heap part.
+
+    Pop takes the smaller [(prio, seq)] of the lane head and the heap root.
+    That pair is a total order with unique keys, so the pop order is the
+    same as any other stable priority queue's — see docs/PERFORMANCE.md.
+
+    A vacated slot holds the first value ever pushed (the filler), so a
+    popped or cleared value is never kept alive by the queue; only the
+    filler is retained for the queue's lifetime. *)
 
 type 'a t
 
@@ -23,15 +34,18 @@ val size : 'a t -> int
 val is_empty : 'a t -> bool
 
 val capacity : 'a t -> int
-(** Current backing-array size (grows by doubling; never shrinks). *)
+(** Current budget: how many elements fit, in any mix of the two parts,
+    before a push grows the backing arrays (doubling; never shrinks). *)
 
 val push : 'a t -> prio:float -> 'a -> unit
-(** [push t ~prio x] inserts [x] with priority [prio]. O(log n),
-    allocation-free once the backing arrays are warm. *)
+(** [push t ~prio x] inserts [x] with priority [prio]. O(1) when [prio] is
+    [>=] the lane's last priority, O(log n) otherwise; allocation-free once
+    the backing arrays are warm. *)
 
 val pop : 'a t -> (float * 'a) option
 (** Removes and returns the minimum-priority element (earliest inserted among
-    equals), or [None] when empty. O(log n). Allocates the option/tuple;
+    equals), or [None] when empty. O(1) from the lane, O(log n) from the
+    heap part. Allocates the option/tuple;
     hot paths use {!top_prio} + {!pop_top} instead. *)
 
 val top_prio : 'a t -> float
@@ -47,6 +61,8 @@ val peek : 'a t -> (float * 'a) option
 (** Returns the element [pop] would return, without removing it. O(1). *)
 
 val clear : 'a t -> unit
+(** Empties both parts and restarts the FIFO sequence counter; keeps the
+    capacity. *)
 
 val iter : (float -> 'a -> unit) -> 'a t -> unit
 (** [iter f t] applies [f prio value] to every queued element in

@@ -91,6 +91,26 @@ let prop_histogram_conserves_mass =
          List.fold_left (fun acc (_, _, c) -> acc + c) 0 (H.bucket_counts h)
          = Array.length samples))
 
+(* [summary] sorts once; it must report exactly what the four separate
+   nearest-rank [quantile] calls report, ties and repeats included. *)
+let prop_summary_is_four_quantiles =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"summary = quantile at 0.5/0.9/0.99/1" ~count:300
+       QCheck2.Gen.(
+         array_size (int_range 1 300)
+           (oneof [ float_range 0. 40.; map float_of_int (int_range 0 5) ]))
+       (fun samples ->
+         let copy = Array.copy samples in
+         let s = H.summary samples in
+         let q x = H.quantile samples ~q:x in
+         s.H.p50 = q 0.5 && s.H.p90 = q 0.9 && s.H.p99 = q 0.99
+         && s.H.max = q 1. && samples = copy))
+
+let test_summary_empty_rejected () =
+  match H.summary [||] with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "empty sample accepted"
+
 let test_table_render () =
   let t = T.create ~columns:[ "name"; "value" ] in
   T.add_row t [ "alpha"; "1" ];
@@ -272,6 +292,9 @@ let () =
           Alcotest.test_case "buckets" `Quick test_histogram_buckets;
           Alcotest.test_case "single value" `Quick test_histogram_single_value;
           prop_histogram_conserves_mass;
+          prop_summary_is_four_quantiles;
+          Alcotest.test_case "summary of empty rejected" `Quick
+            test_summary_empty_rejected;
         ] );
       ( "table",
         [

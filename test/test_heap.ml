@@ -108,6 +108,127 @@ let prop_clear_and_regrow =
       Heap.is_empty h = false
       && List.map snd (drain h) = List.init second (fun i -> i + 1))
 
+(* Mixed operation sequences against a (prio, insertion order) sorted-list
+   model. [Push_up d] pushes [d] above the previous push (monotone: it
+   joins the FIFO lane when the lane's tail allows), [Push p] pushes an
+   arbitrary grid priority (often below the lane's tail: the heap part);
+   both produce equal priorities. Every step checks size, peek, iter and
+   to_sorted_list, so both parts are observed together. *)
+type op = Push of float | Push_up of float | Pop | Pop_top | Clear
+
+let gen_op =
+  QCheck2.Gen.(
+    frequency
+      [
+        (3, map (fun i -> Push (float_of_int i *. 0.5)) (int_range 0 10));
+        (3, map (fun i -> Push_up (float_of_int i *. 0.5)) (int_range 0 2));
+        (2, return Pop);
+        (2, return Pop_top);
+        (1, return Clear);
+      ])
+
+let prop_mixed_ops_match_model =
+  QCheck2.Test.make ~name:"monotone and non-monotone pushes track the model"
+    ~count:300 QCheck2.Gen.(list_size (int_range 0 200) gen_op)
+    (fun ops ->
+      let h = Heap.create () in
+      (* ascending (prio, insertion order); values are insertion indices *)
+      let model = ref [] in
+      let next = ref 0 and last = ref 0. in
+      let insert prio =
+        let v = !next in
+        incr next;
+        last := prio;
+        Heap.push h ~prio v;
+        let rec ins = function
+          | (p, _) as e :: rest when p <= prio -> e :: ins rest
+          | l -> (prio, v) :: l
+        in
+        model := ins !model
+      in
+      let consistent () =
+        let by_prio_value =
+          List.sort (fun (p1, v1) (p2, v2) ->
+              match Float.compare p1 p2 with 0 -> Int.compare v1 v2 | c -> c)
+        in
+        let seen = ref [] in
+        Heap.iter (fun p v -> seen := (p, v) :: !seen) h;
+        Heap.size h = List.length !model
+        && Heap.is_empty h = (!model = [])
+        && Heap.peek h = (match !model with [] -> None | e :: _ -> Some e)
+        && Heap.to_sorted_list h = !model
+        && by_prio_value !seen = by_prio_value !model
+      in
+      List.for_all
+        (fun op ->
+          let popped_ok =
+            match op with
+            | Push p ->
+                insert p;
+                true
+            | Push_up d ->
+                insert (!last +. d);
+                true
+            | Pop -> (
+                match (Heap.pop h, !model) with
+                | None, [] -> true
+                | Some e, m :: rest ->
+                    model := rest;
+                    e = m
+                | Some _, [] | None, _ :: _ -> false)
+            | Pop_top -> (
+                match !model with
+                | [] -> Heap.is_empty h
+                | (p, v) :: rest ->
+                    model := rest;
+                    let top = Heap.top_prio h in
+                    top = p && Heap.pop_top h = v)
+            | Clear ->
+                Heap.clear h;
+                model := [];
+                true
+          in
+          popped_ok && consistent ())
+        ops)
+
+(* ------------------------------------------------------------------ *)
+(* retention *)
+
+(* Pushes boxed values into both parts, pops some, clears the rest, and
+   records each in [w]. Not inlined, so none of the values survives in
+   the caller's frame. *)
+let[@inline never] push_pop_clear h w =
+  let value i = Bytes.make 16 (Char.chr (Char.code 'a' + i)) in
+  let values = Array.init 6 value in
+  Array.iteri (fun i v -> Weak.set w i (Some v)) values;
+  (* 5. then 6. join the lane; 1., 3., 2. are below its tail: heap part. *)
+  List.iteri
+    (fun i prio -> Heap.push h ~prio values.(i))
+    [ 5.; 6.; 1.; 3.; 2. ];
+  for _ = 1 to 4 do
+    ignore (Heap.pop_top h)
+  done;
+  (* Left in the lane and cleared: 6., plus one more in the heap part. *)
+  Heap.push h ~prio:0.5 values.(5);
+  Heap.clear h
+
+let test_popped_values_are_collected () =
+  let h = Heap.create () in
+  (* The first value ever pushed is the filler, retained for the heap's
+     lifetime by design. *)
+  Heap.push h ~prio:0. (Bytes.make 16 'f');
+  ignore (Heap.pop_top h);
+  let w = Weak.create 6 in
+  push_pop_clear h w;
+  Gc.full_major ();
+  for i = 0 to 5 do
+    Alcotest.(check bool)
+      (Printf.sprintf "value %d collected" i)
+      false (Weak.check w i)
+  done;
+  Heap.push h ~prio:1. (Bytes.make 16 'z');
+  check Alcotest.int "still usable" 1 (Heap.size h)
+
 (* ------------------------------------------------------------------ *)
 (* unit tests for the new accessors *)
 
@@ -182,6 +303,12 @@ let () =
           q prop_equal_prio_is_fifo;
           q prop_interleaved_ops_match_model;
           q prop_clear_and_regrow;
+          q prop_mixed_ops_match_model;
+        ] );
+      ( "retention",
+        [
+          Alcotest.test_case "popped and cleared values are collected" `Quick
+            test_popped_values_are_collected;
         ] );
       ( "accessors",
         [

@@ -112,6 +112,45 @@ let prop_merge_sorted_and_complete =
            plan;
          !ok))
 
+(* The linear-scan merge [A.merge] replaced by a winner tree, kept as the
+   reference: every source's next arrival is compared on each step, and
+   the first minimum (lowest origin) wins. Sources are replayed from
+   [A.stream], which draws from the same keyed per-origin streams. *)
+let linear_scan_merge proc ~seed ~n ~ops =
+  let streams =
+    Array.init n (fun i -> A.stream proc ~seed ~origin:(i + 1) ~count:(ops + 1))
+  in
+  let next = Array.make n 0 in
+  Array.init ops (fun _ ->
+      let best = ref 0 in
+      for i = 1 to n - 1 do
+        if streams.(i).(next.(i)) < streams.(!best).(next.(!best)) then
+          best := i
+      done;
+      let b = !best in
+      let at = streams.(b).(next.(b)) in
+      next.(b) <- next.(b) + 1;
+      (at, b + 1))
+
+let prop_merge_matches_linear_scan =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"merge = the linear-scan reference, bit for bit"
+       ~count:120
+       QCheck2.Gen.(
+         quad (int_range 0 1000) (int_range 1 200) (int_range 0 300)
+           (oneofl
+              [ A.Fixed 1.5; A.Fixed 0.25; A.Poisson 0.8; A.Poisson 3.0;
+                A.Bursty { rate = 2.0; on_len = 3.0; off_len = 2.0 };
+                A.Bursty { rate = 0.5; on_len = 1.0; off_len = 0.0 } ]))
+       (fun (seed, n, ops, proc) ->
+         let same (t, o) (t', o') =
+           Int64.equal (Int64.bits_of_float t) (Int64.bits_of_float t')
+           && o = o'
+         in
+         let fast = A.merge proc ~seed ~n ~ops in
+         let reference = linear_scan_merge proc ~seed ~n ~ops in
+         Array.length fast = ops && Array.for_all2 same fast reference))
+
 (* ------------------------------------------------------------------ *)
 (* History checker vs a brute-force reference *)
 
@@ -394,6 +433,145 @@ let test_run_load_report_golden () =
     "2da7dbd7709ec9e11d275ded09a7c43b"
     (Digest.to_hex (Digest.string rendered))
 
+(* ------------------------------------------------------------------ *)
+(* History.analyze vs the five-sort implementation it replaced *)
+
+(* The previous [History] measures, verbatim: two record sorts for the
+   verdict, an int-list sort for contiguity and a tuple-list sort of all
+   endpoints per overlap measure. *)
+module Five_sort = struct
+  open H
+
+  let cmp_fields k1 k2 a b =
+    match Float.compare (k1 a) (k1 b) with
+    | 0 -> (
+        match Float.compare (k2 a) (k2 b) with
+        | 0 -> (
+            match Int.compare a.value b.value with
+            | 0 -> Int.compare a.origin b.origin
+            | c -> c)
+        | c -> c)
+    | c -> c
+
+  let by_invocation a b =
+    cmp_fields (fun o -> o.invoked_at) (fun o -> o.completed_at) a b
+
+  let by_completion a b =
+    cmp_fields (fun o -> o.completed_at) (fun o -> o.invoked_at) a b
+
+  exception Found of op * op
+
+  let check ops =
+    let inv = Array.of_list ops in
+    let comp = Array.copy inv in
+    Array.sort by_invocation inv;
+    Array.sort by_completion comp;
+    let len = Array.length inv in
+    let j = ref 0 in
+    let best = ref None in
+    try
+      Array.iter
+        (fun b ->
+          while !j < len && comp.(!j).completed_at < b.invoked_at do
+            (match !best with
+            | Some a when a.value >= comp.(!j).value -> ()
+            | Some _ | None -> best := Some comp.(!j));
+            incr j
+          done;
+          match !best with
+          | Some a when a.value > b.value -> raise (Found (a, b))
+          | Some _ | None -> ())
+        inv;
+      Linearizable
+    with Found (a, b) -> Violation (a, b)
+
+  let values_contiguous ops =
+    let values = List.sort Int.compare (List.map (fun o -> o.value) ops) in
+    values = List.init (List.length ops) Fun.id
+
+  let sweep_events ops =
+    let events =
+      List.concat_map
+        (fun o -> [ (o.invoked_at, 1); (o.completed_at, -1) ])
+        ops
+    in
+    List.sort
+      (fun (t1, d1) (t2, d2) ->
+        match Float.compare t1 t2 with 0 -> Int.compare d1 d2 | c -> c)
+      events
+
+  let concurrency_profile ops =
+    let _, peak =
+      List.fold_left
+        (fun (cur, peak) (_, d) ->
+          let cur = cur + d in
+          (cur, max peak cur))
+        (0, 0) (sweep_events ops)
+    in
+    peak
+
+  let mean_overlap ops =
+    match sweep_events ops with
+    | [] -> 0.
+    | (t0, _) :: _ as events ->
+        let _, t_last, area =
+          List.fold_left
+            (fun (cur, prev_t, area) (t, d) ->
+              (cur + d, t, area +. (float_of_int cur *. (t -. prev_t))))
+            (0, t0, 0.) events
+        in
+        let span = t_last -. t0 in
+        if span > 0. then area /. span else 0.
+end
+
+(* Histories built to hit every tie the merge and the sweep must order:
+   endpoints on a coarse grid (so invocations, completions and
+   zero-length operations collide), and values either a permutation of
+   0..k-1 or drawn with repeats and gaps. *)
+let gen_tied_history =
+  QCheck2.Gen.(
+    int_range 0 40 >>= fun k ->
+    let grid = map (fun i -> float_of_int i *. 0.5) (int_range 0 12) in
+    let values =
+      frequency
+        [ (1, shuffle_l (List.init k Fun.id));
+          (1, list_size (return k) (int_range (-1) (k + 1))) ]
+    in
+    values >>= fun values ->
+    list_size (return k)
+      (triple (int_range 1 8) grid (frequency [ (1, return 0.); (3, grid) ]))
+    >|= fun spans ->
+    List.map2
+      (fun value (origin, invoked_at, dur) ->
+        { H.origin; value; invoked_at; completed_at = invoked_at +. dur })
+      values spans)
+
+let verdict_equal v v' =
+  match (v, v') with
+  | H.Linearizable, H.Linearizable -> true
+  | H.Violation (a, b), H.Violation (a', b') -> op_equal a a' && op_equal b b'
+  | _ -> false
+
+let same_bits x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+
+let prop_analyze_matches_five_sort =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"analyze = the five-sort reference, bit for bit"
+       ~count:500 gen_tied_history (fun h ->
+         let a = H.analyze h in
+         let verdict = Five_sort.check h in
+         let quiescent = Five_sort.values_contiguous h in
+         verdict_equal a.H.verdict verdict
+         && a.H.quiescent = quiescent
+         && a.H.linearizable
+            = (quiescent && verdict_equal verdict H.Linearizable)
+         && a.H.peak_overlap = Five_sort.concurrency_profile h
+         && same_bits a.H.mean_overlap (Five_sort.mean_overlap h)
+         && verdict_equal (H.check h) verdict
+         && H.values_contiguous h = quiescent
+         && H.concurrency_profile h = a.H.peak_overlap
+         && same_bits (H.mean_overlap h) a.H.mean_overlap))
+
 let () =
   Alcotest.run "load"
     [
@@ -410,12 +588,14 @@ let () =
           prop_bursty_envelope;
           prop_stream_monotone;
           prop_merge_sorted_and_complete;
+          prop_merge_matches_linear_scan;
         ] );
       ( "checker",
         [
           prop_check_matches_brute_force;
           prop_witness_valid;
           prop_check_input_order_invariant;
+          prop_analyze_matches_five_sort;
           Alcotest.test_case "small cases" `Quick test_check_small_cases;
         ] );
       ( "goldens",
