@@ -354,6 +354,50 @@ let test_chaos_output_shape () =
       Alcotest.(check bool) "check line" true (contains "chaos check: OK");
       Alcotest.(check bool) "baseline line" true (contains "baseline:"))
 
+let test_chaos_quorum_golden () =
+  (* The make test-chaos quorum row, byte for byte: completion counts,
+     stall strings, message loads and bottleneck shifts are all pinned. *)
+  let out = Filename.concat tmp "dcount_cli_chaos_quorum.txt" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove out with Sys_error _ -> ())
+    (fun () ->
+      let code =
+        Sys.command
+          (Filename.quote dcount
+          ^ " chaos -c quorum-majority -n 9 --crashes 0,1,2,3,4 --ops 18 \
+             --seed 42 --check > "
+          ^ Filename.quote out ^ " 2>/dev/null")
+      in
+      Alcotest.(check int) "exit 0" 0 code;
+      let stall = "last stall: Quorum_counter.inc: origin crashed mid-operation" in
+      let expected =
+        String.concat "\n"
+          [
+            "chaos sweep: counter=quorum-majority n=9 ops=18 seed=42 dup=0 \
+             recover=false";
+            "baseline: 288 msgs (16.0/op), bottleneck p1(64)";
+            "";
+            "crashes   drop  done/req    skipped stalled   msgs/op   load+%  \
+             bottleneck   notes";
+            "      0   0.00     18/18          0       0      16.0      +0%  \
+             p1(64)  ";
+            "      1   0.00     18/18          0       0      18.9     +18%  \
+             p8(95)* ";
+            "      2   0.00     17/18          0       1      28.1     +75%  \
+             p2(140)* " ^ stall;
+            "      3   0.00     18/18          0       0      22.3     +39%  \
+             p1(141)  ";
+            "      4   0.00     16/18          0       2      23.4     +46%  \
+             p6(132)* " ^ stall;
+            "";
+            "(* = bottleneck moved off the fault-free bottleneck processor p1)";
+            "chaos check: OK";
+            "";
+          ]
+      in
+      Alcotest.(check string) "stdout" expected
+        (In_channel.with_open_text out In_channel.input_all))
+
 (* ------------------------------------------------------------------ *)
 (* dcount load *)
 
@@ -510,6 +554,8 @@ let () =
           Alcotest.test_case "--byz output shape" `Quick
             test_chaos_byz_output_shape;
           Alcotest.test_case "output shape" `Quick test_chaos_output_shape;
+          Alcotest.test_case "quorum-majority stdout golden" `Quick
+            test_chaos_quorum_golden;
         ] );
       ( "load",
         [
