@@ -45,8 +45,9 @@ val combining_rate : t -> float
 
 val run_batch : t -> origins:int list -> (int * int) list
 (** Launch all origins concurrently (each origin at most once per batch);
-    returns [(origin, value)] pairs. Values across a batch are distinct
-    and contiguous. One traced operation. *)
+    returns [(origin, value)] pairs in completion order. Values across a
+    batch are distinct and contiguous. One traced operation
+    ({!Counter.Kernel.Make.run_batch}). *)
 
 include Counter.Counter_intf.CONCURRENT with type t := t
 (** Combining is the regime the tree was designed for, and the open-loop

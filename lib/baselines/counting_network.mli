@@ -56,10 +56,14 @@ val output_counts : t -> int array
 val step_property_held : t -> bool
 (** Whether the step property held at every quiescent point so far. *)
 
+val default_width : int -> int
+(** The width {!create} uses: the largest power of two [<= sqrt n], at
+    least 2 for [n > 1]. *)
+
 val run_batch : t -> origins:int list -> (int * int) list
-(** Launch all origins' tokens concurrently — the regime counting
-    networks were designed for (lock-free, no serialisation point).
-    Returns [(origin, value)] pairs in completion order: a distinct,
+(** Launch all origins' tokens concurrently (each origin at most
+    once) — the regime counting networks were designed for (lock-free,
+    no serialisation point). Returns [(origin, value)] pairs in completion order: a distinct,
     contiguous value block (quiescent consistency; counting networks are
     famously not linearizable under overlap, which E7 shows by exhibiting
     out-of-order values within a batch). Counts as one traced

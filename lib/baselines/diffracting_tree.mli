@@ -48,10 +48,11 @@ val step_property_held : t -> bool
 (** Step property over leaf counters, checked at each quiescent point. *)
 
 val run_batch : t -> origins:int list -> (int * int) list
-(** Launch all origins concurrently; runs to quiescence and returns
-    [(origin, value)] in completion order. Values are distinct and form a
-    contiguous range, but are not linearizable — the E11 experiment
-    checks exactly that. Counts as one traced operation. *)
+(** Launch all origins concurrently (each at most once); runs to
+    quiescence and returns [(origin, value)] in completion order. Values
+    are distinct and form a contiguous range, but are not linearizable —
+    the E11 experiment checks exactly that. Counts as one traced
+    operation. *)
 
 val run_batch_timed :
   t -> ?stagger:float -> origins:int list -> unit -> Counter.History.op list

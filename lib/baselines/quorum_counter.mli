@@ -47,8 +47,9 @@
 
 module Make (_ : Quorum.Quorum_intf.S) : sig
   include Counter.Counter_intf.CONCURRENT
-  (** The open-loop path gives every in-flight operation its own client
-      record, matched to replies by round stamp. {b Semantics caveat}:
+  (** Every operation, sequential or open-loop, runs its own client
+      record, matched to replies by round stamp, so any number can be in
+      flight. {b Semantics caveat}:
       read-max/write-back is not an atomic fetch-and-increment — two
       overlapping operations can read the same maximum and return the
       same value, so under genuine overlap a quorum counter is neither

@@ -125,15 +125,21 @@ type counter = (module S)
 
     Protocol contract: {!CONCURRENT.launch_at} is called once per
     operation, in non-decreasing [at] order with distinct [op] ids
-    [>= 0], all before {!CONCURRENT.run_open}. A genuinely concurrent
+    [>= 0], all before {!CONCURRENT.run_open}; it raises
+    [Invalid_argument] at the call for an origin outside [1 .. n], a
+    negative [op] or an arrival in the past. A genuinely concurrent
     protocol schedules each injection as a local timer on its own
     network and lets one {!Sim.Network.run_to_quiescence} drain
-    everything; a serialising protocol (the paper's retire tree) may
+    everything — the message-passing baselines get exactly that from
+    {!Kernel.Make}, which runs sequential [inc], [launch_at] and batches
+    through one protocol [start], so an operation behaves the same on
+    every path. A serialising protocol (the paper's retire tree) may
     instead process each arrival synchronously inside [launch_at] —
     queueing delay then shows up in its completion times, which is
     exactly the honest cost of serialisation. Per-operation traces are
     not recorded in this mode (trace bracketing assumes one operation at
-    a time); metrics still accumulate. *)
+    a time); metrics still accumulate, and {!S.value} counts completed
+    operations on every path. *)
 
 module type CONCURRENT = sig
   include S

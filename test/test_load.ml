@@ -395,6 +395,55 @@ let test_spaced_open_loop_matches_sequential () =
         (Sim.Metrics.total_messages (C.metrics open_)))
     Baselines.Registry.concurrent_all
 
+(* [value] counts completed operations, not operations attempted: under a
+   crash plan, every counter's value equals the number of [Completed]
+   outcomes its sequential [inc]s returned. *)
+let test_value_counts_completed_under_crashes () =
+  List.iter
+    (fun plan ->
+      let faults = Result.get_ok (Sim.Fault.of_string plan) in
+      List.iter
+        (fun (module C : Counter.Counter_intf.CONCURRENT) ->
+          let n = C.supported_n 16 in
+          let c = C.create ~faults ~n () in
+          let completed = ref 0 in
+          for origin = 1 to n do
+            match C.inc_result c ~origin with
+            | Counter.Counter_intf.Completed _ -> incr completed
+            | Counter.Counter_intf.Stalled _ -> ()
+          done;
+          check Alcotest.int
+            (Printf.sprintf "%s under %s: value = completed" C.name plan)
+            !completed (C.value c))
+        Baselines.Registry.concurrent_all)
+    [ "crash:3@0"; "crash:1@0" ]
+
+(* [launch_at] rejects a bad origin or a negative op id at the call,
+   before anything is scheduled: the counter then runs a valid operation
+   as if the rejected calls never happened. *)
+let test_launch_at_validates_at_the_call () =
+  List.iter
+    (fun (module C : Counter.Counter_intf.CONCURRENT) ->
+      let n = C.supported_n 8 in
+      let c = C.create ~n () in
+      let rejects what f =
+        match f () with
+        | () -> Alcotest.failf "%s: launch_at accepted %s" C.name what
+        | exception Invalid_argument _ -> ()
+      in
+      rejects "origin 0" (fun () -> C.launch_at c ~op:0 ~origin:0 ~at:0.);
+      rejects "origin n+1" (fun () ->
+          C.launch_at c ~op:0 ~origin:(n + 1) ~at:0.);
+      rejects "op -1" (fun () -> C.launch_at c ~op:(-1) ~origin:1 ~at:0.);
+      C.launch_at c ~op:0 ~origin:n ~at:1.;
+      C.run_open c;
+      match C.completions c with
+      | [ (0, 0, _) ] -> ()
+      | cs ->
+          Alcotest.failf "%s: expected op 0 to return 0, got %d completions"
+            C.name (List.length cs))
+    Baselines.Registry.concurrent_all
+
 let test_latency_percentiles_ordered () =
   let r =
     D.run_load ~seed:42 ~delay:(Sim.Delay.Exponential 1.0)
@@ -616,5 +665,9 @@ let () =
             test_spaced_open_loop_matches_sequential;
           Alcotest.test_case "counting-net report golden" `Quick
             test_run_load_report_golden;
+          Alcotest.test_case "value counts completed under crashes" `Quick
+            test_value_counts_completed_under_crashes;
+          Alcotest.test_case "launch_at validates at the call" `Quick
+            test_launch_at_validates_at_the_call;
         ] );
     ]
