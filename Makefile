@@ -22,19 +22,31 @@ test:
 # 10^5 combining operations with --check under SOAK_LOAD_MAX_HEAP_WORDS:
 # its event queue holds what is in flight plus the planned arrival timers
 # in the heap's FIFO lane (~6.7M words; ~9.7M when every timer sat in the
-# 4-ary heap and the checkers sorted five times). Each run's GC summary
-# (OCAMLRUNPARAM=v=0x400) goes to stderr; awk fails the target when
-# top_heap_words is missing or over the limit.
+# 4-ary heap and the checkers sorted five times). The third row runs
+# 10^5 phase-king sync-count operations (282 messages each) under the
+# perfbench king plan, with the same heap ceiling (~1.75M words) and a
+# minor-collection budget of one per four operations: a trace that
+# outgrows the young-heap block limit forces a minor GC per operation
+# (~101,000 here; ~4,100 with chunked traces). Each run's GC summary
+# (OCAMLRUNPARAM=v=0x400) goes to stderr; awk fails the target when the
+# counter is missing or over its limit.
 SOAK_MAX_HEAP_WORDS = 8000000
 SOAK_LOAD_MAX_HEAP_WORDS = 8000000
-SOAK_CHECK = awk -v max=$(1) '/^top_heap_words:/ { found = 1; print "top_heap_words " $$2 " (limit " max ")"; if ($$2 + 0 > max) over = 1 } END { exit (!found || over) }' $(2)
+SOAK_SYNC_MAX_HEAP_WORDS = 8000000
+SOAK_SYNC_OPS = 100000
+SOAK_SYNC_MAX_MINOR_GCS = 25000
+SOAK_KING_PLAN = byz:3@0/byz:2@0/byzval:3:off-by-7/byzval:2:max-int/byzeq:3
+SOAK_CHECK = awk -v key=$(1) -v max=$(2) '$$1 == key ":" { found = 1; print key " " $$2 " (limit " max ")"; if ($$2 + 0 > max) over = 1 } END { exit (!found || over) }' $(3)
 
 test-soak:
 	dune build bin/dcount.exe
 	OCAMLRUNPARAM=v=0x400 ./_build/default/bin/dcount.exe run --counter retire-tree -n 1024 --schedule random:100000 2> /tmp/soak_gc.txt
-	$(call SOAK_CHECK,$(SOAK_MAX_HEAP_WORDS),/tmp/soak_gc.txt)
+	$(call SOAK_CHECK,top_heap_words,$(SOAK_MAX_HEAP_WORDS),/tmp/soak_gc.txt)
 	OCAMLRUNPARAM=v=0x400 ./_build/default/bin/dcount.exe load --counter combining -n 64 --arrivals poisson:0.2 --delay exp:1 --ops 100000 --check 2> /tmp/soak_load_gc.txt
-	$(call SOAK_CHECK,$(SOAK_LOAD_MAX_HEAP_WORDS),/tmp/soak_load_gc.txt)
+	$(call SOAK_CHECK,top_heap_words,$(SOAK_LOAD_MAX_HEAP_WORDS),/tmp/soak_load_gc.txt)
+	OCAMLRUNPARAM=v=0x400 ./_build/default/bin/dcount.exe run --counter sync-count -n 7 --faults $(SOAK_KING_PLAN) --schedule random:$(SOAK_SYNC_OPS) 2> /tmp/soak_sync_gc.txt
+	$(call SOAK_CHECK,top_heap_words,$(SOAK_SYNC_MAX_HEAP_WORDS),/tmp/soak_sync_gc.txt)
+	$(call SOAK_CHECK,minor_collections,$(SOAK_SYNC_MAX_MINOR_GCS),/tmp/soak_sync_gc.txt)
 
 # Determinism & protocol-hygiene gate (docs/LINT.md): dlint over the
 # library and binary sources. Exit 0 = clean, 1 = findings, 2 = usage.

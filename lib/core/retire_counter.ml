@@ -77,6 +77,7 @@ let run_batch_timed t ?stagger ~origins () =
    history is trivially linearizable (zero overlap by construction). *)
 let launch_at t ~op ~origin ~at =
   if op < 0 then invalid_arg "Retire_counter.launch_at: op must be >= 0";
+  P.check_origin ~who t origin;
   let now = Sim.Network.now t.P.net in
   if at > now then begin
     (* Idle until the arrival: a no-op timer advances the clock without

@@ -333,7 +333,9 @@ let inc t ~origin =
     match
       List.find_opt (fun (o, _, _) -> o = origin) (List.rev t.P.completed_rev)
     with
-    | Some (_, value, _) -> value
+    | Some (_, value, _) ->
+        t.P.completed <- t.P.completed + 1;
+        value
     | None ->
         let reason =
           match t.P.stall_reason with

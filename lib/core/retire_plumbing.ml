@@ -113,7 +113,9 @@ type t = {
          retirement then reinstalls the role without the job description,
          losing the root's counter value *)
   overflow_pool : int;  (* emergency hire budget (overflow ids only) *)
-  mutable value : int;
+  mutable value : int;  (* the root's counter: the next value to hand out *)
+  mutable completed : int;
+      (* completed operations, each once under duplication: [value] *)
   mutable completed_rev : (int * int * float) list;
       (* (origin, value, completion time) for the current op/batch *)
   mutable overflow_next : int;  (* next virtual processor id to hire *)
@@ -208,6 +210,7 @@ let create_state ?(seed = 42) ?delay ?faults ?(failure_aware = false)
     emergency_handoff;
     overflow_pool = (match overflow_pool with Some p -> p | None -> 2 * n);
     value = 0;
+    completed = 0;
     completed_rev = [];
     overflow_next = n + 1;
     total_retirements = 0;
@@ -454,7 +457,7 @@ let max_retirements_at_level t level =
 (* Accessors shared verbatim by both counters. *)
 let config t = t.cfg
 let tree t = t.tree
-let value t = t.value
+let value t = t.completed
 let metrics t = Sim.Network.metrics t.net
 let traces t = Sim.Network.traces t.net
 let observe t f = Sim.Network.observe t.net f
@@ -480,13 +483,25 @@ let inc ~who t ~origin =
   match
     List.find_opt (fun (o, _, _) -> o = origin) (List.rev t.completed_rev)
   with
-  | Some (_, value, _) -> value
+  | Some (_, value, _) ->
+      t.completed <- t.completed + 1;
+      value
   | None ->
       raise
         (Counter.Counter_intf.Stall
            (who
           ^ ".inc: no value returned (a worker on the path crashed or a \
              message was lost)"))
+
+(* Count a batch's completions: a duplicated value message repeats its
+   (origin, value) pair and is not a second operation. *)
+let count_batch t =
+  let pairs = List.map (fun (o, v, _) -> (o, v)) t.completed_rev in
+  let by_origin_value (o1, v1) (o2, v2) =
+    match Int.compare o1 o2 with 0 -> Int.compare v1 v2 | c -> c
+  in
+  t.completed <-
+    t.completed + List.length (List.sort_uniq by_origin_value pairs)
 
 let run_batch ~who t ~origins =
   List.iter (check_origin ~who t) origins;
@@ -497,6 +512,7 @@ let run_batch ~who t ~origins =
   List.iter (fun origin -> launch t ~origin) origins;
   ignore (Sim.Network.run_to_quiescence t.net);
   ignore (Sim.Network.end_op t.net);
+  count_batch t;
   List.rev_map (fun (o, v, _) -> (o, v)) t.completed_rev
 
 let run_batch_timed ~who t ?(stagger = 0.) ~origins () =
@@ -519,6 +535,7 @@ let run_batch_timed ~who t ?(stagger = 0.) ~origins () =
     origins;
   ignore (Sim.Network.run_to_quiescence t.net);
   ignore (Sim.Network.end_op t.net);
+  count_batch t;
   List.rev_map
     (fun (origin, value, completed_at) ->
       {

@@ -181,6 +181,10 @@ type 'msg t = {
       (* protocol-supplied payload rewriter: the network knows when to
          corrupt (plan triggers) but not how to rewrite an opaque ['msg];
          counters that support Byzantine runs pass one at [create] *)
+  rewrites : (Fault.byz_rule * bool) option array;
+      (* the plan's byzval rule and byzeq flag per processor (index =
+         id), looked up once at [create] so a Byzantine send walks no
+         plan list; empty when the plan has no byzval rules *)
   mutable recovered_tbl : bool array;  (* ever recovered; index = id; grows *)
   mutable recovery_counts : int array;
       (* completed revivals per processor; index = id; grows *)
@@ -351,6 +355,16 @@ let create ?(seed = 0xC0FFEE) ?(delay = Delay.default) ?label ?bits
     invalid_arg
       "Network.create: fault plan has byzval rules but this protocol \
        supplies no ?corrupt rewriter";
+  let rewrites =
+    match faults.Fault.byz_rules with
+    | [] -> [||]
+    | rules ->
+        let top = List.fold_left (fun m (p, _) -> max m p) 0 rules in
+        Array.init (top + 1) (fun p ->
+            Option.map
+              (fun rule -> (rule, Fault.equivocates faults p))
+              (Fault.byz_rule_of faults p))
+  in
   let time_events, count_crashes =
     let at, after =
       List.partition_map
@@ -411,6 +425,7 @@ let create ?(seed = 0xC0FFEE) ?(delay = Delay.default) ?label ?bits
       crashed_tbl = [||];
       byz_tbl = [||];
       corrupt;
+      rewrites;
       recovered_tbl = [||];
       recovery_counts = [||];
       unordered_tbl = [||];
@@ -503,14 +518,12 @@ let send t ~src ~dst payload =
        src, dst, payload), so this arm makes zero Rng draws and plans
        without byz clauses never reach it. *)
     let payload =
-      if t.faults_active && byzantine t src then
-        match (t.corrupt, Fault.byz_rule_of t.faults src) with
-        | Some f, Some rule ->
-            let rewritten =
-              f ~rule
-                ~equivocate:(Fault.equivocates t.faults src)
-                ~src ~dst payload
-            in
+      if
+        t.faults_active && src < Array.length t.rewrites && byzantine t src
+      then
+        match (t.corrupt, t.rewrites.(src)) with
+        | Some f, Some (rule, equivocate) ->
+            let rewritten = f ~rule ~equivocate ~src ~dst payload in
             if rewritten != payload then begin
               Metrics.on_corruption t.metrics;
               record_fault t ~src ~dst Trace.Corrupted
@@ -849,6 +862,7 @@ let clone_quiescent t =
     crashed_tbl = Array.copy t.crashed_tbl;
     byz_tbl = Array.copy t.byz_tbl;
     corrupt = t.corrupt;
+    rewrites = t.rewrites;
     recovered_tbl = Array.copy t.recovered_tbl;
     recovery_counts = Array.copy t.recovery_counts;
     unordered_tbl = Array.copy t.unordered_tbl;

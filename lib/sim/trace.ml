@@ -11,37 +11,100 @@ type fault_kind = Dropped | Duplicated | Crashed | Recovered | Turned_byzantine 
 
 type fault = { fault_time : float; fault_src : int; fault_dst : int; kind : fault_kind }
 
-(* Events are stored in a growable array (chronological order, so no
-   List.rev pass): recording a message on the hot delivery path is one
-   array write, with a doubling copy only on growth. Fault annotations are
-   rare, so a list is fine there. *)
+(* Events are stored in chronological chunks, so recording a message on
+   the hot delivery path is one array write. The first chunk grows by
+   doubling (16, 32, 64, 128) with a copy on growth; past [chunk] events
+   the full chunk moves to [full_rev] and a fresh one starts, so no copy
+   is ever made again.
+
+   Why 128: the runtime allocates blocks of up to 256 words
+   (Max_young_wosize) in the minor heap and larger ones directly in the
+   major heap, and [Array.make] of a major-heap array whose initial
+   value is young (here, the event being recorded) first forces a minor
+   collection. Uncapped doubling reached 512 entries on a phase-king
+   operation (282 messages): one forced minor GC per operation, each
+   promoting whatever was young at that instant. A 128-entry chunk stays
+   well inside the young limit, wastes at most 127 slots at the tail,
+   and keeps every trace of at most 128 events (all of retire-tree's)
+   in one array. Fault annotations are rare, so a
+   list is fine there. *)
 type t = {
   op_index : int;
   origin : int;
   start_time : float;
-  mutable events_arr : event array;
-  mutable count : int;
+  mutable events_arr : event array;  (* current chunk *)
+  mutable count : int;  (* all events, full chunks included *)
+  mutable full_rev : event array list;  (* full chunks, newest first *)
   mutable faults_rev : fault list;
 }
 
+let chunk = 128
+
 let create ?(start_time = 0.) ~op_index ~origin () =
-  { op_index; origin; start_time; events_arr = [||]; count = 0; faults_rev = [] }
+  {
+    op_index;
+    origin;
+    start_time;
+    events_arr = [||];
+    count = 0;
+    full_rev = [];
+    faults_rev = [];
+  }
 
 let op_index t = t.op_index
 
 let origin t = t.origin
 
 let record t e =
-  let cap = Array.length t.events_arr in
-  if t.count >= cap then begin
-    let arr = Array.make (if cap = 0 then 16 else 2 * cap) e in
-    Array.blit t.events_arr 0 arr 0 t.count;
-    t.events_arr <- arr
+  let i = t.count in
+  let pos = i land (chunk - 1) in
+  if i >= chunk then begin
+    if pos = 0 then begin
+      t.full_rev <- t.events_arr :: t.full_rev;
+      t.events_arr <- Array.make chunk e
+    end
+  end
+  else begin
+    let cap = Array.length t.events_arr in
+    if i >= cap then begin
+      let arr = Array.make (if cap = 0 then 16 else 2 * cap) e in
+      Array.blit t.events_arr 0 arr 0 i;
+      t.events_arr <- arr
+    end
   end;
-  t.events_arr.(t.count) <- e;
-  t.count <- t.count + 1
+  t.events_arr.(pos) <- e;
+  t.count <- i + 1
 
-let events t = Array.to_list (Array.sub t.events_arr 0 t.count)
+(* Events in the current chunk. *)
+let current_len t =
+  match t.full_rev with
+  | [] -> t.count
+  | _ :: _ -> ((t.count - 1) land (chunk - 1)) + 1
+
+(* The iterators below are top-level functions taking [f], not local
+   closures over it, so a walk allocates nothing: the Hot Spot monitor
+   walks every operation's trace. *)
+let rec iter_full f = function
+  | [] -> ()
+  | c :: older ->
+      iter_full f older;
+      Array.iter f c
+
+(* [f] on every event, chronological. *)
+let iter_events f t =
+  iter_full f t.full_rev;
+  for i = 0 to current_len t - 1 do
+    f t.events_arr.(i)
+  done
+
+let events t =
+  let acc = ref [] in
+  for i = current_len t - 1 downto 0 do
+    acc := t.events_arr.(i) :: !acc
+  done;
+  List.fold_left
+    (fun acc c -> Array.fold_right List.cons c acc)
+    !acc t.full_rev
 
 let message_count t = t.count
 
@@ -60,17 +123,28 @@ let fault_kind_label = function
   | Corrupted -> "corrupted"
 
 let duration t =
-  if t.count = 0 then 0. else t.events_arr.(t.count - 1).time -. t.start_time
+  if t.count = 0 then 0.
+  else t.events_arr.(current_len t - 1).time -. t.start_time
 
 module Int_set = Set.Make (Int)
 
-let iter_processors f t =
-  f t.origin;
-  for i = 0 to t.count - 1 do
-    let e = t.events_arr.(i) in
+let ends_of_chunk f c len =
+  for i = 0 to len - 1 do
+    let e = c.(i) in
     f e.dst;
     f e.src
   done
+
+let rec ends_of_full f = function
+  | [] -> ()
+  | c :: older ->
+      ends_of_full f older;
+      ends_of_chunk f c chunk
+
+let iter_processors f t =
+  f t.origin;
+  ends_of_full f t.full_rev;
+  ends_of_chunk f t.events_arr (current_len t)
 
 let processor_set t =
   let acc = ref Int_set.empty in
@@ -87,11 +161,11 @@ let intersects a b =
 let pp ppf t =
   Format.fprintf ppf "@[<v>op #%d initiated by processor %d (%d messages)@,"
     t.op_index t.origin t.count;
-  List.iter
+  iter_events
     (fun e ->
       Format.fprintf ppf "  %4d -(%s)-> %-4d @@ t=%.3f@," e.src e.tag e.dst
         e.time)
-    (events t);
+    t;
   List.iter
     (fun f ->
       Format.fprintf ppf "  %4d ~(%s)~> %-4d @@ t=%.3f@," f.fault_src
@@ -101,7 +175,7 @@ let pp ppf t =
 
 let pp_compact ppf t =
   Format.fprintf ppf "op#%d p%d:" t.op_index t.origin;
-  List.iter (fun e -> Format.fprintf ppf " %d>%d" e.src e.dst) (events t)
+  iter_events (fun e -> Format.fprintf ppf " %d>%d" e.src e.dst) t
 
 let pp_lanes ppf t =
   let procs = processors t in
@@ -117,7 +191,7 @@ let pp_lanes ppf t =
        (List.map
           (fun p -> Printf.sprintf "%-*s" lane_width ("p" ^ string_of_int p))
           procs));
-  List.iter
+  iter_events
     (fun e ->
       let a = column e.src and b = column e.dst in
       let lo = min a b and hi = max a b in
@@ -130,7 +204,7 @@ let pp_lanes ppf t =
       (* Self-sends: both roles on one lane. *)
       if a = b then Bytes.set line (a * lane_width) '@';
       Format.fprintf ppf "%s %s t=%.1f@," (Bytes.to_string line) e.tag e.time)
-    (events t);
+    t;
   Format.fprintf ppf "@]"
 
 let to_dot t =
@@ -163,7 +237,7 @@ let to_dot t =
   Buffer.add_string buf "digraph inc_process {\n";
   Buffer.add_string buf "  rankdir=LR;\n  node [shape=circle];\n";
   ignore (fresh t.origin);
-  List.iter
+  iter_events
     (fun e ->
       let src_occ = occurrence_for_send e.src in
       Hashtbl.replace has_outgoing src_occ ();
@@ -171,6 +245,6 @@ let to_dot t =
       Buffer.add_string buf
         (Printf.sprintf "  o%d -> o%d [label=\"%s@%.1f\"];\n" src_occ dst_occ
            e.tag e.time))
-    (events t);
+    t;
   Buffer.add_string buf "}\n";
   Buffer.contents buf

@@ -468,6 +468,197 @@ let test_fault_none_bit_identical () =
     (Sim.Metrics.checksum base)
     (Sim.Metrics.checksum unguarded)
 
+(* ------------------------------------------------------------------ *)
+(* Differential: Core.Sync_counter against the frozen reference in
+   sync_reference.ml. The reference rebuilds every replica's state at
+   each inc; the counter resets it in place, so a stalled operation's
+   leftovers and a clone's buffers are where the two could part. *)
+
+module type SYNC = sig
+  type t
+
+  val create_with :
+    ?seed:int ->
+    ?delay:Sim.Delay.t ->
+    ?faults:Sim.Fault.t ->
+    ?guard:bool ->
+    n:int ->
+    unit ->
+    t
+
+  val inc_result : t -> origin:int -> Counter.Counter_intf.outcome
+  val value : t -> int
+  val metrics : t -> Sim.Metrics.t
+  val clone : t -> t
+end
+
+type scenario = {
+  sc_n : int;
+  guard : bool;
+  seed : int;
+  delay : Sim.Delay.t;
+  faults : Sim.Fault.t;
+  origins : int list;
+  clone_after : int;  (* ops run before the clone is taken *)
+}
+
+let pp_scenario sc =
+  Printf.sprintf "n=%d guard=%b seed=%d delay=%s faults=%s origins=[%s] \
+                  clone_after=%d"
+    sc.sc_n sc.guard sc.seed
+    (Sim.Delay.to_string sc.delay)
+    (Sim.Fault.to_string sc.faults)
+    (String.concat ";" (List.map string_of_int sc.origins))
+    sc.clone_after
+
+(* Every observable the driver and the perfbench read: each outcome
+   (stall reasons included), then [value], [Metrics.checksum] and the
+   corruption count of the original and of the clone. After the clone,
+   each operation runs on the original and then on the clone, so any
+   state the two shared and an inc does not reset (the replica counts,
+   say) would show in either's outcomes. *)
+let observe (module C : SYNC) sc =
+  let c =
+    C.create_with ~seed:sc.seed ~delay:sc.delay ~faults:sc.faults
+      ~guard:sc.guard ~n:sc.sc_n ()
+  in
+  let show = Format.asprintf "%a" Counter.Counter_intf.pp_outcome in
+  let before = List.filteri (fun i _ -> i < sc.clone_after) sc.origins
+  and after = List.filteri (fun i _ -> i >= sc.clone_after) sc.origins in
+  let outs = List.map (fun origin -> show (C.inc_result c ~origin)) before in
+  let d = C.clone c in
+  let outs =
+    outs
+    @ List.concat_map
+        (fun origin ->
+          let a = show (C.inc_result c ~origin) in
+          [ a; show (C.inc_result d ~origin) ])
+        after
+  in
+  let summary t =
+    Printf.sprintf "value=%d checksum=%d corruptions=%d" (C.value t)
+      (Sim.Metrics.checksum (C.metrics t))
+      (Sim.Metrics.corruptions (C.metrics t))
+  in
+  outs @ [ summary c; summary d ]
+
+let gen_scenario =
+  let open QCheck2.Gen in
+  oneofl [ 4; 7; 10; 13 ] >>= fun sc_n ->
+  let f = (sc_n - 1) / 3 in
+  let gen_trigger =
+    oneof
+      [
+        map (fun t -> Sim.Fault.At (float_of_int t /. 4.)) (int_bound 120);
+        map (fun d -> Sim.Fault.After d) (int_bound 3_000);
+      ]
+  in
+  let gen_rule =
+    oneof
+      [
+        pure Sim.Fault.Replay_stale;
+        map
+          (fun k -> Sim.Fault.Off_by (if k >= 0 then k + 1 else k))
+          (int_range (-9) 9);
+        pure Sim.Fault.Max_int;
+      ]
+  in
+  (* Up to f + 1 victims: one past the budget often splits the guarded
+     counter too, so agreement stalls are compared as well. *)
+  int_range 1 (f + 1) >>= fun count ->
+  shuffle_l (List.init sc_n (fun i -> i + 1)) >>= fun ids ->
+  let victims = List.filteri (fun i _ -> i < count) ids in
+  flatten_l
+    (List.map
+       (fun p ->
+         triple gen_trigger (opt gen_rule) bool >>= fun (trigger, rule, eq) ->
+         pure
+           ( { Sim.Fault.processor = p; trigger },
+             Option.map (fun r -> (p, r)) rule,
+             if eq && Option.is_some rule then Some p else None ))
+       victims)
+  >>= fun cells ->
+  (* A crash now and then stalls an operation mid-round; the next inc
+     must start from reset state on both sides. *)
+  opt (pair (int_range 1 sc_n) (int_bound 2_000)) >>= fun crash ->
+  let faults =
+    {
+      Sim.Fault.none with
+      Sim.Fault.crashes =
+        (match crash with
+        | Some (processor, d) -> [ { Sim.Fault.processor; trigger = After d } ]
+        | None -> []);
+      byz = List.map (fun (b, _, _) -> b) cells;
+      byz_rules = List.filter_map (fun (_, r, _) -> r) cells;
+      byz_equiv = List.filter_map (fun (_, _, e) -> e) cells;
+    }
+  in
+  int_range 1 (2 * sc_n) >>= fun ops ->
+  list_repeat ops (int_range 1 sc_n) >>= fun origins ->
+  int_range 0 ops >>= fun clone_after ->
+  bool >>= fun guard ->
+  int_bound 1_000_000 >>= fun seed ->
+  oneofl [ Sim.Delay.Constant 1.0; Sim.Delay.Exponential 1.0 ] >>= fun delay ->
+  pure { sc_n; guard; seed; delay; faults; origins; clone_after }
+
+let prop_sync_matches_reference =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"sync-count = the frozen reference, op for op"
+       ~count:120 ~print:pp_scenario gen_scenario (fun sc ->
+         let got = observe (module Core.Sync_counter) sc
+         and want = observe (module Sync_reference) sc in
+         List.equal String.equal got want
+         || QCheck2.Test.fail_reportf "counter:   %s\nreference: %s"
+              (String.concat " | " got) (String.concat " | " want)))
+
+(* Fixed cases the generator rarely draws: a crash that stalls an
+   operation mid-round and, in all but the first, a recovery after which
+   operations complete again, on replica state the stalled ones left. *)
+let test_sync_reference_crash_plans () =
+  List.iter
+    (fun (sc_n, plan_s, recovers) ->
+      List.iter
+        (fun guard ->
+          let sc =
+            {
+              sc_n;
+              guard;
+              seed = 42;
+              delay = Sim.Delay.Constant 1.0;
+              faults = plan plan_s;
+              origins = List.init (2 * sc_n) (fun i -> (i mod sc_n) + 1);
+              clone_after = sc_n;
+            }
+          in
+          let got = observe (module Core.Sync_counter) sc
+          and want = observe (module Sync_reference) sc in
+          check
+            Alcotest.(list string)
+            (pp_scenario sc) want got;
+          (* [got] ends with the two summaries, which are not outcomes. *)
+          let outcomes = List.filteri (fun i _ -> i < List.length got - 2) got in
+          let stalled = contains ~sub:"stalled" in
+          let rec after_stall = function
+            | [] -> []
+            | o :: rest -> if stalled o then rest else after_stall rest
+          in
+          check Alcotest.bool (pp_scenario sc ^ ": an op stalls") true
+            (List.exists stalled outcomes);
+          (* Unguarded, the equivocating king splits the recovered run. *)
+          if recovers && guard then
+            check Alcotest.bool
+              (pp_scenario sc ^ ": ops complete after the stall")
+              true
+              (List.exists (fun o -> not (stalled o)) (after_stall outcomes)))
+        [ true; false ])
+    [
+      (7, "crash:5@#100", false);
+      (4, "crash:2@#20/recover:2@4", true);
+      (7, "crash:5@#100/recover:5@11.5/byz:3@0/byzval:3:off-by-7/byzeq:3", true);
+      (10, "crash:9@#700/recover:9@20/byz:2@0/byzval:2:max-int", true);
+      (13, "crash:1@#1500/recover:1@30", true);
+    ]
+
 let () =
   Alcotest.run "byzantine"
     [
@@ -510,5 +701,11 @@ let () =
         [
           Alcotest.test_case "Fault.none bit-identical" `Quick
             test_fault_none_bit_identical;
+        ] );
+      ( "differential",
+        [
+          prop_sync_matches_reference;
+          Alcotest.test_case "crash plans match the reference" `Quick
+            test_sync_reference_crash_plans;
         ] );
     ]

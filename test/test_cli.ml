@@ -354,6 +354,36 @@ let test_chaos_output_shape () =
       Alcotest.(check bool) "check line" true (contains "chaos check: OK");
       Alcotest.(check bool) "baseline line" true (contains "baseline:"))
 
+(* Traces past one 128-event chunk of Sim.Trace: a sync-count operation
+   at n = 7 is 282 messages. The digests pin [Trace.pp] and
+   [Trace.to_dot] over such traces, byte for byte. *)
+let test_long_trace_goldens () =
+  let out = Filename.concat tmp "dcount_cli_long_trace.txt" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove out with Sys_error _ -> ())
+    (fun () ->
+      List.iter
+        (fun (args, digest) ->
+          let code =
+            Sys.command
+              (Filename.quote dcount ^ " " ^ args ^ " > " ^ Filename.quote out
+             ^ " 2>/dev/null")
+          in
+          Alcotest.(check int) (args ^ ": exit 0") 0 code;
+          Alcotest.(check string)
+            (args ^ ": stdout digest")
+            digest
+            (Digest.to_hex
+               (Digest.string
+                  (In_channel.with_open_bin out In_channel.input_all))))
+        [
+          ("trace -c sync-count -n 7 --ops 2", "d21be7f65f62d88b84394ba328782f2d");
+          ( "trace -c sync-count -n 7 --ops 2 --lanes",
+            "26e664596137324a864c573344ac1cfc" );
+          ("dot -c sync-count -n 7 --op 1", "2a5be2f54c663d42915f19ca37822227");
+          ("trace -c sync-count -n 13 --ops 1", "e92998e146fcdbd71479269cdc1be6c3");
+        ])
+
 let test_chaos_quorum_golden () =
   (* The make test-chaos quorum row, byte for byte: completion counts,
      stall strings, message loads and bottleneck shifts are all pinned. *)
@@ -556,6 +586,11 @@ let () =
           Alcotest.test_case "output shape" `Quick test_chaos_output_shape;
           Alcotest.test_case "quorum-majority stdout golden" `Quick
             test_chaos_quorum_golden;
+        ] );
+      ( "trace",
+        [
+          Alcotest.test_case "long-trace trace/dot goldens" `Quick
+            test_long_trace_goldens;
         ] );
       ( "load",
         [

@@ -416,7 +416,7 @@ let test_value_counts_completed_under_crashes () =
             (Printf.sprintf "%s under %s: value = completed" C.name plan)
             !completed (C.value c))
         Baselines.Registry.concurrent_all)
-    [ "crash:3@0"; "crash:1@0" ]
+    [ "crash:3@0"; "crash:1@0"; "crash:3@#20" ]
 
 (* [launch_at] rejects a bad origin or a negative op id at the call,
    before anything is scheduled: the counter then runs a valid operation

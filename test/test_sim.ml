@@ -236,6 +236,68 @@ let test_trace_duration () =
     { Sim.Trace.seq = 2; time = 6.5; src = 2; dst = 1; tag = "m"; parent = 1 };
   check (Alcotest.float 1e-9) "duration" 3.5 (Sim.Trace.duration t)
 
+(* Sim.Trace against a plain-list model, at the sizes around its
+   128-event chunk boundary and well past it. *)
+let prop_trace_matches_list_model =
+  let open QCheck2.Gen in
+  let gen =
+    oneofl [ 0; 1; 127; 128; 129; 256; 257 ] >>= fun small ->
+    int_range 900 1100 >>= fun large ->
+    oneofl [ small; large ] >>= fun len ->
+    int_range 1 40 >>= fun origin ->
+    float_bound_inclusive 5. >>= fun start_time ->
+    list_repeat len (triple (int_range 1 40) (int_range 1 40) (float_bound_inclusive 50.))
+    >>= fun msgs -> pure (origin, start_time, msgs)
+  in
+  let print (origin, start_time, msgs) =
+    Printf.sprintf "origin=%d start=%g %d events" origin start_time
+      (List.length msgs)
+  in
+  QCheck2.Test.make ~name:"trace = a list model across chunk boundaries"
+    ~count:60 ~print gen (fun (origin, start_time, msgs) ->
+      let events =
+        List.mapi
+          (fun i (src, dst, time) ->
+            { Sim.Trace.seq = i + 1; time; src; dst; tag = "m"; parent = i })
+          msgs
+      in
+      let t = Sim.Trace.create ~start_time ~op_index:5 ~origin () in
+      List.iter (Sim.Trace.record t) events;
+      let model_seq =
+        origin
+        :: List.concat_map (fun (e : Sim.Trace.event) -> [ e.dst; e.src ]) events
+      in
+      let seen = ref [] in
+      Sim.Trace.iter_processors (fun p -> seen := p :: !seen) t;
+      let model_duration =
+        match List.rev events with
+        | [] -> 0.
+        | last :: _ -> last.time -. start_time
+      in
+      let model_pp =
+        let b = Buffer.create 64 in
+        let ppf = Format.formatter_of_buffer b in
+        Format.fprintf ppf "@[<v>op #%d initiated by processor %d (%d messages)@,"
+          5 origin (List.length events);
+        List.iter
+          (fun (e : Sim.Trace.event) ->
+            Format.fprintf ppf "  %4d -(%s)-> %-4d @@ t=%.3f@," e.src e.tag
+              e.dst e.time)
+          events;
+        Format.fprintf ppf "@]@?";
+        Buffer.contents b
+      in
+      let procs = List.sort_uniq Int.compare model_seq in
+      Sim.Trace.events t = events
+      && Sim.Trace.message_count t = List.length events
+      && Float.equal (Sim.Trace.duration t) model_duration
+      && List.rev !seen = model_seq
+      && Sim.Trace.processors t = procs
+      && List.for_all
+           (fun q -> Sim.Trace.touches t q = List.mem q procs)
+           (List.init 42 Fun.id)
+      && String.equal (Format.asprintf "%a" Sim.Trace.pp t) model_pp)
+
 let contains_substring haystack needle =
   let hl = String.length haystack and nl = String.length needle in
   let rec scan i =
@@ -667,6 +729,7 @@ let () =
           Alcotest.test_case "intersects" `Quick test_trace_intersects;
           Alcotest.test_case "duration" `Quick test_trace_duration;
           Alcotest.test_case "dot export" `Quick test_trace_to_dot;
+          QCheck_alcotest.to_alcotest prop_trace_matches_list_model;
           Alcotest.test_case "lanes chart" `Quick test_trace_pp_lanes;
         ] );
       ( "comm-list",
