@@ -26,30 +26,40 @@ type fault = { fault_time : float; fault_src : int; fault_dst : int; kind : faul
    promoting whatever was young at that instant. A 128-entry chunk stays
    well inside the young limit, wastes at most 127 slots at the tail,
    and keeps every trace of at most 128 events (all of retire-tree's)
-   in one array. Fault annotations are rare, so a
-   list is fine there. *)
+   in one array.
+
+   Full chunks and fault annotations share one lazily allocated [rare]
+   record, so a fault-free trace of at most 128 events is the same
+   six-field block it always was: one more word per operation shifts
+   retire-tree's GC pacing and its peak heap. *)
+type rare = {
+  mutable full_rev : event array list;  (* full chunks, newest first *)
+  mutable faults_rev : fault list;
+}
+
 type t = {
   op_index : int;
   origin : int;
   start_time : float;
   mutable events_arr : event array;  (* current chunk *)
   mutable count : int;  (* all events, full chunks included *)
-  mutable full_rev : event array list;  (* full chunks, newest first *)
-  mutable faults_rev : fault list;
+  mutable rare : rare option;
 }
 
 let chunk = 128
 
 let create ?(start_time = 0.) ~op_index ~origin () =
-  {
-    op_index;
-    origin;
-    start_time;
-    events_arr = [||];
-    count = 0;
-    full_rev = [];
-    faults_rev = [];
-  }
+  { op_index; origin; start_time; events_arr = [||]; count = 0; rare = None }
+
+let rare t =
+  match t.rare with
+  | Some r -> r
+  | None ->
+      let r = { full_rev = []; faults_rev = [] } in
+      t.rare <- Some r;
+      r
+
+let full_rev t = match t.rare with Some r -> r.full_rev | None -> []
 
 let op_index t = t.op_index
 
@@ -60,7 +70,8 @@ let record t e =
   let pos = i land (chunk - 1) in
   if i >= chunk then begin
     if pos = 0 then begin
-      t.full_rev <- t.events_arr :: t.full_rev;
+      let r = rare t in
+      r.full_rev <- t.events_arr :: r.full_rev;
       t.events_arr <- Array.make chunk e
     end
   end
@@ -77,7 +88,7 @@ let record t e =
 
 (* Events in the current chunk. *)
 let current_len t =
-  match t.full_rev with
+  match full_rev t with
   | [] -> t.count
   | _ :: _ -> ((t.count - 1) land (chunk - 1)) + 1
 
@@ -92,7 +103,7 @@ let rec iter_full f = function
 
 (* [f] on every event, chronological. *)
 let iter_events f t =
-  iter_full f t.full_rev;
+  iter_full f (full_rev t);
   for i = 0 to current_len t - 1 do
     f t.events_arr.(i)
   done
@@ -104,15 +115,19 @@ let events t =
   done;
   List.fold_left
     (fun acc c -> Array.fold_right List.cons c acc)
-    !acc t.full_rev
+    !acc (full_rev t)
 
 let message_count t = t.count
 
-let record_fault t f = t.faults_rev <- f :: t.faults_rev
+let record_fault t f =
+  let r = rare t in
+  r.faults_rev <- f :: r.faults_rev
 
-let faults t = List.rev t.faults_rev
+let faults_rev t = match t.rare with Some r -> r.faults_rev | None -> []
 
-let fault_count t = List.length t.faults_rev
+let faults t = List.rev (faults_rev t)
+
+let fault_count t = List.length (faults_rev t)
 
 let fault_kind_label = function
   | Dropped -> "dropped"
@@ -143,7 +158,7 @@ let rec ends_of_full f = function
 
 let iter_processors f t =
   f t.origin;
-  ends_of_full f t.full_rev;
+  ends_of_full f (full_rev t);
   ends_of_chunk f t.events_arr (current_len t)
 
 let processor_set t =

@@ -420,7 +420,8 @@ let test_value_counts_completed_under_crashes () =
 
 (* [launch_at] rejects a bad origin or a negative op id at the call,
    before anything is scheduled: the counter then runs a valid operation
-   as if the rejected calls never happened. *)
+   as if the rejected calls never happened, so their arrival time (50)
+   does not delay it. *)
 let test_launch_at_validates_at_the_call () =
   List.iter
     (fun (module C : Counter.Counter_intf.CONCURRENT) ->
@@ -431,14 +432,17 @@ let test_launch_at_validates_at_the_call () =
         | () -> Alcotest.failf "%s: launch_at accepted %s" C.name what
         | exception Invalid_argument _ -> ()
       in
-      rejects "origin 0" (fun () -> C.launch_at c ~op:0 ~origin:0 ~at:0.);
+      rejects "origin 0" (fun () -> C.launch_at c ~op:0 ~origin:0 ~at:50.);
       rejects "origin n+1" (fun () ->
-          C.launch_at c ~op:0 ~origin:(n + 1) ~at:0.);
-      rejects "op -1" (fun () -> C.launch_at c ~op:(-1) ~origin:1 ~at:0.);
+          C.launch_at c ~op:0 ~origin:(n + 1) ~at:50.);
+      rejects "op -1" (fun () -> C.launch_at c ~op:(-1) ~origin:1 ~at:50.);
       C.launch_at c ~op:0 ~origin:n ~at:1.;
       C.run_open c;
       match C.completions c with
-      | [ (0, 0, _) ] -> ()
+      | [ (0, 0, at) ] when at < 50. -> ()
+      | [ (0, 0, at) ] ->
+          Alcotest.failf "%s: op 0 completed at %g, after the rejected arrival"
+            C.name at
       | cs ->
           Alcotest.failf "%s: expected op 0 to return 0, got %d completions"
             C.name (List.length cs))

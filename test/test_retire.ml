@@ -460,37 +460,6 @@ let test_origin_range_checked () =
     (Invalid_argument "Retire_counter: origin out of range") (fun () ->
       ignore (R.inc c ~origin:9))
 
-(* A rejected [launch_at] schedules nothing: the next operation runs as
-   on a counter that never saw the bad call, instead of starting at the
-   rejected call's arrival time. *)
-let test_launch_at_rejects_before_waiting () =
-  let n = 81 in
-  let c = R.create ~n () and fresh = R.create ~n () in
-  Alcotest.check_raises "origin 0"
-    (Invalid_argument "Retire_counter: origin out of range") (fun () ->
-      R.launch_at c ~op:0 ~origin:0 ~at:50.);
-  R.launch_at c ~op:0 ~origin:1 ~at:1.;
-  R.launch_at fresh ~op:0 ~origin:1 ~at:1.;
-  match (R.completions c, R.completions fresh) with
-  | [ (0, 0, at) ], [ (0, 0, at_fresh) ] ->
-      check (Alcotest.float 0.) "completes as if never rejected" at_fresh at;
-      check Alcotest.bool "before the rejected arrival" true (at < 50.)
-  | _ -> Alcotest.fail "expected one completion of op 0 with value 0"
-
-(* [value] counts completed operations, once each: under a crash that
-   stalls some operations, it equals the number of [Completed] outcomes,
-   not the number of values the root handed out. *)
-let test_value_counts_completed_ops () =
-  let faults = Result.get_ok (Sim.Fault.of_string "crash:3@#20") in
-  let c = R.create ~faults ~n:81 () in
-  let completed = ref 0 in
-  for origin = 1 to 81 do
-    match R.inc_result c ~origin with
-    | Counter.Counter_intf.Completed _ -> incr completed
-    | Counter.Counter_intf.Stalled _ -> ()
-  done;
-  check Alcotest.int "value = completed operations" !completed (R.value c)
-
 let prop_generalised_shapes_correct =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make
@@ -592,9 +561,5 @@ let () =
           Alcotest.test_case "supported_n" `Quick test_supported_n;
           Alcotest.test_case "threshold guard" `Quick test_threshold_guard;
           Alcotest.test_case "origin range" `Quick test_origin_range_checked;
-          Alcotest.test_case "launch_at rejects before waiting" `Quick
-            test_launch_at_rejects_before_waiting;
-          Alcotest.test_case "value counts completed ops" `Quick
-            test_value_counts_completed_ops;
         ] );
     ]
