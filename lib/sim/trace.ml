@@ -29,8 +29,8 @@ type fault = { fault_time : float; fault_src : int; fault_dst : int; kind : faul
    in one array.
 
    Full chunks and fault annotations share one lazily allocated [rare]
-   record, so a fault-free trace of at most 128 events is the same
-   six-field block it always was: one more word per operation shifts
+   record, so a fault-free trace of at most 128 events stays a
+   six-field block: one more word per operation measurably shifts
    retire-tree's GC pacing and its peak heap. *)
 type rare = {
   mutable full_rev : event array list;  (* full chunks, newest first *)

@@ -511,7 +511,7 @@ let pp_scenario sc =
     (String.concat ";" (List.map string_of_int sc.origins))
     sc.clone_after
 
-(* Every observable the driver and the perfbench read: each outcome
+(* Every observable [Counter.Driver] and perfbench read: each outcome
    (stall reasons included), then [value], [Metrics.checksum] and the
    corruption count of the original and of the clone. After the clone,
    each operation runs on the original and then on the clone, so any
